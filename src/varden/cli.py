@@ -66,6 +66,8 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10, rel_tol: float 
     blob_ids = sorted(set(truth[truth != NOISE].tolist()))
     if not blob_ids:
         raise DataError("dataset truth has no clusters to tune against")
+    if len(ds) < min_pts:
+        raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
     index = build_index(ds)
     coords = ds.coords
 

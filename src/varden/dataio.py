@@ -15,7 +15,6 @@ import numpy as np
 
 from .metrics import EvalReport
 from .model import (
-    AdaptiveResult,
     DataError,
     Dataset,
     IterationRecord,
@@ -106,7 +105,7 @@ def read_csv(path) -> Dataset | LabeledDataset:
     return ds
 
 
-def write_csv(dataset: Dataset, labeling: Labeling | AdaptiveResult, path) -> None:
+def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
     """Write `x,y,cluster,class` rows in dataset order; -1 marks noise."""
     if len(labeling) != len(dataset):
         raise DataError(f"labeling covers {len(labeling)} points, dataset has {len(dataset)}")

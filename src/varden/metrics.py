@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .model import AdaptiveResult, DataError, Labeling, LabeledDataset, NOISE
+from .model import DataError, Labeling, LabeledDataset, NOISE
 
 
 class LengthMismatch(DataError):
@@ -90,8 +90,8 @@ class EvalReport:
         return f"{self.num_clusters_found},{self.ari!r},{self.noise_fraction!r},{purities}"
 
 
-def evaluate(d: LabeledDataset, result: Labeling | AdaptiveResult) -> EvalReport:
-    """Score a labeling (or adaptive result) against the dataset's truth."""
+def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
+    """Score a labeling (an AdaptiveResult is one) against the dataset's truth."""
     if not isinstance(d, LabeledDataset):
         raise MissingGroundTruth(f"expected a LabeledDataset, got {type(d).__name__}")
     truth = d.truth

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,7 @@ class DbscanParams:
 
 @dataclass(frozen=True, eq=False)
 class Labeling:
-    """Per-point cluster assignment from one scan.
+    """Per-point cluster assignment (from one scan, or an AdaptiveResult).
 
     labels: int array, cluster id per point, NOISE (-1) for unclustered.
     classes: int8 array of PointClass values, aligned with labels.
@@ -319,8 +319,8 @@ class IterationRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class AdaptiveResult:
-    """Outcome of the adaptive loop.
+class AdaptiveResult(Labeling):
+    """Outcome of the adaptive loop: a Labeling plus how the loop got there.
 
     labels: final cluster id per original point (NOISE for never-assigned).
     classes: PointClass per point, taken from the scan that claimed it
@@ -329,26 +329,12 @@ class AdaptiveResult:
     stop_reason: which budget ended the loop (STOP_* constants).
     """
 
-    labels: np.ndarray
-    classes: np.ndarray
-    trace: tuple[IterationRecord, ...] = field(default=())
+    trace: tuple[IterationRecord, ...] = ()
     stop_reason: str = STOP_K_REACHED
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
-        classes = np.asarray(self.classes, dtype=np.int8).copy()
-        labels.flags.writeable = False
-        classes.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "classes", classes)
+        super().__post_init__()
         object.__setattr__(self, "trace", tuple(self.trace))
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size and self.labels.max() >= 0 else 0
 
     @property
     def iterations(self) -> int:

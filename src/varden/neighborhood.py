@@ -1,11 +1,9 @@
 """Fixed-radius neighbor search over a dataset.
 
-Two routes answer the same question: a kd-tree with numpy leaf buckets
-(``build_index`` / ``region_query``) and a pure-Python linear scan
-(``region_query_naive``). Both use the closed ball |q - p| <= eps and, to
-keep their answers identical even at the boundary, both accumulate the
-squared distance axis by axis in the same order and compare against the
-same eps * eps product.
+A sweep index (``build_index`` / ``region_query``) and a pure-Python scan
+(``region_query_naive``) answer the closed-ball query |q - p| <= eps. Both
+accumulate d2 axis by axis in the same order and compare it with the same
+eps * eps, so they agree bit for bit, boundary points included.
 """
 from __future__ import annotations
 
@@ -14,21 +12,6 @@ import math
 import numpy as np
 
 from .model import Dataset, DataError, ParamError
-
-_LEAF_SIZE = 32
-
-
-class _Node:
-    __slots__ = ("lo", "hi", "idx", "axis", "split", "left", "right")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.idx: np.ndarray | None = None  # set on leaves only
-        self.axis = -1
-        self.split = 0.0
-        self.left: "_Node | None" = None
-        self.right: "_Node | None" = None
 
 
 def _axis_d2(block: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -41,74 +24,41 @@ def _axis_d2(block: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 class NeighborIndex:
-    """kd-tree over a Dataset answering closed-ball radius queries."""
+    """Sweep index: the points sorted once, stably, along the axis of largest spread.
 
-    __slots__ = ("dataset", "_root")
+    A query binary-searches the slab |p_a - q_a| <= w and keeps the points in it
+    with d2 <= eps * eps; the sort does not depend on eps, so one index serves
+    every radius. A hit only has fl(diff * diff) <= fl(eps * eps), so |p_a - q_a|
+    may reach eps * (1 + 3u) and an unpadded q_a -+ eps slab drops it; with
+    w = eps * (1 + 2^-50) and monotone rounding the slab is a superset and the
+    d2 test decides. eps is floored at 2^-511, below which eps * eps is
+    subnormal; once eps * eps overflows, the slab is the whole axis.
+    """
 
-    def __init__(self, dataset: Dataset, leaf_size: int = _LEAF_SIZE) -> None:
+    __slots__ = ("dataset", "_axis", "_order", "_sorted", "_keys")
+
+    def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
-        coords = dataset.coords
-        if len(dataset) == 0:
-            self._root = None
-            return
-        self._root = self._build(coords, np.arange(len(dataset)), leaf_size)
-
-    def _build(self, coords: np.ndarray, idx: np.ndarray, leaf_size: int) -> _Node:
-        sub = coords[idx]
-        node = _Node(sub.min(axis=0), sub.max(axis=0))
-        if idx.size <= leaf_size:
-            node.idx = idx
-            return node
-        spread = node.hi - node.lo
-        axis = int(np.argmax(spread))
-        if spread[axis] == 0.0:  # all points coincide; no split can help
-            node.idx = idx
-            return node
-        order = np.argsort(sub[:, axis], kind="stable")
-        mid = idx.size // 2
-        node.axis = axis
-        node.split = float(sub[order[mid], axis])
-        node.left = self._build(coords, idx[order[:mid]], leaf_size)
-        node.right = self._build(coords, idx[order[mid:]], leaf_size)
-        return node
+        self._axis = int(np.argmax(np.ptp(dataset.coords, axis=0))) if len(dataset) else 0
+        self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
+        self._sorted = dataset.coords[self._order]
+        self._keys = np.ascontiguousarray(self._sorted[:, self._axis])
 
     def query(self, q, eps: float) -> np.ndarray:
-        """Indices of all points within eps of q (inclusive), ascending.
-
-        q may be a point index into the dataset or a coordinate sequence.
-        """
+        """Ascending indices of the points within eps of q (a point index or coordinates)."""
         qc = _query_coords(self.dataset, q)
         eps = _check_eps(eps)
-        if self._root is None:
-            return np.empty(0, dtype=np.int64)
-        eps2 = eps * eps
-        coords = self.dataset.coords
-        out: list[np.ndarray] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            # Minimum squared distance from q to the node's bounding box.
-            gap = np.maximum(node.lo - qc, 0.0) + np.maximum(qc - node.hi, 0.0)
-            if float(np.dot(gap, gap)) > eps2:
-                continue
-            if node.idx is not None:
-                d2 = _axis_d2(coords[node.idx], qc)
-                hit = node.idx[d2 <= eps2]
-                if hit.size:
-                    out.append(hit)
-                continue
-            stack.append(node.left)
-            stack.append(node.right)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        merged = np.concatenate(out)
-        merged.sort()
-        return merged
+        qa = float(qc[self._axis])
+        w = max(eps, 2.0**-511) * (1 + 2.0**-50)
+        lo_key, hi_key = (qa - w, qa + w) if eps * eps < math.inf else (-math.inf, math.inf)
+        lo = int(np.searchsorted(self._keys, lo_key, side="left"))
+        hi = int(np.searchsorted(self._keys, hi_key, side="right"))
+        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc) <= eps * eps])
 
 
-def build_index(dataset: Dataset, leaf_size: int = _LEAF_SIZE) -> NeighborIndex:
+def build_index(dataset: Dataset) -> NeighborIndex:
     """Build the spatial index used by the clustering passes."""
-    return NeighborIndex(dataset, leaf_size=leaf_size)
+    return NeighborIndex(dataset)
 
 
 def region_query(index: NeighborIndex, q, eps: float) -> np.ndarray:

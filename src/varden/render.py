@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import AdaptiveResult, DataError, Dataset, Labeling, NOISE, PointClass
+from .model import DataError, Dataset, Labeling, NOISE, PointClass
 
 PALETTE = (
     "#1f77b4",
@@ -36,7 +36,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_svg(dataset: Dataset, labeling: Labeling | AdaptiveResult, path) -> None:
+def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
     """Write a standalone scatter SVG; see module docstring for the look."""
     if dataset.dim != 2:
         raise UnsupportedDimension(f"can only render 2-d datasets, got {dataset.dim}-d")
@@ -56,9 +56,7 @@ def render_svg(dataset: Dataset, labeling: Labeling | AdaptiveResult, path) -> N
 
     labels = labeling.labels
     classes = labeling.classes
-    k = 0
-    if labels.size and int(labels.max()) >= 0:
-        k = int(labels.max()) + 1
+    k = labeling.n_clusters
     sizes = [int((labels == cid).sum()) for cid in range(k)]
     n_noise = int((labels == NOISE).sum())
 

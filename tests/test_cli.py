@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from varden.cli import cli_main
+from varden.cli import cli_main, tune_eps_densest
 from varden.dataio import parse_manifest, read_csv
-from varden.model import LabeledDataset, NOISE
+from varden.model import DataError, Dataset, LabeledDataset, NOISE
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +204,13 @@ class TestCompare:
         assert dm.report is not None and am.report is not None
         assert am.trace is not None and am.stop_reason is not None
         assert dm.dataset_hash == am.dataset_hash
+
+
+class TestTuneEps:
+    def test_fewer_points_than_min_pts_is_data_error(self):
+        labeled = LabeledDataset(Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), [0, 0, 0])
+        with pytest.raises(DataError, match="min_pts=10"):
+            tune_eps_densest(labeled, min_pts=10)
 
 
 class TestTopLevel:

@@ -189,6 +189,9 @@ class TestLabeledDataset:
 class TestAdaptiveResult:
     def test_counts_and_labeling_view(self):
         res = AdaptiveResult([0, 1, NOISE], [2, 1, 0], trace=(), stop_reason="k_reached")
+        assert isinstance(res, Labeling)
         assert res.n_clusters == 2 and res.iterations == 0 and len(res) == 3
+        with pytest.raises(ValueError):
+            res.labels[0] = 5
         lab = res.as_labeling()
         assert list(lab.labels) == [0, 1, NOISE]

@@ -1,4 +1,4 @@
-"""Radius search: the kd-tree route must match the naive scan exactly,
+"""Radius search: the sweep-index route must match the naive scan exactly,
 boundary points included."""
 import math
 
@@ -54,18 +54,18 @@ def test_query_by_coordinates(grid_ds):
 def test_results_sorted_ascending():
     rng = np.random.default_rng(42)
     ds = Dataset(rng.normal(size=(200, 2)))
-    idx = build_index(ds, leaf_size=8)
+    idx = build_index(ds)
     for i in range(0, 200, 17):
         hits = region_query(idx, i, 0.7)
         assert np.all(np.diff(hits) > 0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("leaf", [1, 4, 32])
-def test_matches_naive_random(dim, leaf):
-    rng = np.random.default_rng(100 * dim + leaf)
+@pytest.mark.parametrize("seed", [1, 4, 32])
+def test_matches_naive_random(dim, seed):
+    rng = np.random.default_rng(100 * dim + seed)
     ds = Dataset(rng.uniform(-5, 5, size=(120, dim)))
-    idx = build_index(ds, leaf_size=leaf)
+    idx = build_index(ds)
     for _ in range(25):
         q = int(rng.integers(0, len(ds)))
         eps = float(rng.uniform(0.05, 6.0))
@@ -75,21 +75,60 @@ def test_matches_naive_random(dim, leaf):
 def test_matches_naive_at_exact_boundary_radii():
     # radii chosen to land exactly on pairwise distances
     rng = np.random.default_rng(7)
-    ds = Dataset(rng.integers(0, 8, size=(60, 2)).astype(float))
-    idx = build_index(ds, leaf_size=4)
-    coords = ds.coords
-    for q in range(0, 60, 7):
-        diffs = coords - coords[q]
-        dists = np.sqrt((diffs**2).sum(axis=1))
-        for eps in np.unique(dists)[1:6]:
-            got = region_query(idx, q, float(eps))
-            want = region_query_naive(ds, q, float(eps))
-            assert np.array_equal(got, want)
+    lattice = rng.integers(0, 8, size=(60, 2)).astype(float)
+    shared_x = lattice.copy()
+    shared_x[:, 0] = 3.0  # every point has the same x
+    coincident = np.full((60, 2), 2.5)
+    for coords in (lattice, shared_x, coincident):
+        ds = Dataset(coords)
+        idx = build_index(ds)
+        for q in range(0, 60, 7):
+            diffs = coords - coords[q]
+            dists = np.sqrt((diffs**2).sum(axis=1))
+            for eps in [*np.unique(dists[dists > 0])[:5], 0.5]:
+                got = region_query(idx, q, float(eps))
+                want = region_query_naive(ds, q, float(eps))
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_matches_naive_at_slab_edges(dim, scale):
+    # Points at q_a +- eps and the next 3 floats outward on every axis: the
+    # ones that pass the d2 test lie just outside an unpadded q_a +- eps slab.
+    rng = np.random.default_rng(dim)
+    for eps_scale in (1e-6, 1.0, 1e6):
+        for _ in range(10):
+            q = rng.uniform(-scale, scale, size=dim)
+            eps = float(rng.uniform(0.1, 1.0)) * eps_scale
+            pts = [q]
+            for ax in range(dim):
+                for sign in (-1.0, 1.0):
+                    p = q.copy()
+                    p[ax] = q[ax] + sign * eps
+                    for _ in range(4):
+                        pts.append(p.copy())
+                        p[ax] = np.nextafter(p[ax], sign * np.inf)
+            ds = Dataset(np.array(pts))
+            idx = build_index(ds)
+            for i in range(len(ds)):
+                assert np.array_equal(region_query(idx, i, eps), region_query_naive(ds, i, eps))
+
+
+def test_matches_naive_when_eps_squared_underflows_or_overflows():
+    # eps * eps is subnormal, zero or infinite here, and the naive scan's d2
+    # rounds alike for points well beyond eps; the index must agree with it.
+    ds = Dataset(np.array([[0.0, 0.0], [1e-163, 0.0], [0.0, -3e-160], [1e300, 0.0], [-1e300, 5.0]]))
+    idx = build_index(ds)
+    with np.errstate(over="ignore"):
+        for eps in (1e-170, 1e-158, 1e155, 1e200):
+            for i in range(len(ds)):
+                assert np.array_equal(region_query(idx, i, eps), region_query_naive(ds, i, eps))
 
 
 def test_duplicate_points():
     ds = Dataset(np.array([[1.0, 1.0]] * 10 + [[5.0, 5.0]]))
-    idx = build_index(ds, leaf_size=2)
+    idx = build_index(ds)
     assert region_query(idx, 0, 0.1).size == 10
     assert np.array_equal(region_query(idx, 0, 0.1), np.arange(10))
 
