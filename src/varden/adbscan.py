@@ -1,12 +1,13 @@
-"""Adaptive density clustering: rescan with escalating parameters.
+"""Picking eps by rescanning: the adaptive escalation loop and the eps tuner.
 
-Each iteration runs a full density scan on whatever points remain. When the
-scan's largest cluster holds more than accept_fraction of the ORIGINAL
-point count it is accepted and its points leave the working set; either
-way, eps and the (real-valued) min_pts accumulator escalate by the step
-before the next iteration. The loop stops at k accepted clusters, when the
-remainder falls to residual_fraction of the original size or below, when
-eps passes eps_cap, or after max_iters iterations.
+Each run_adbscan iteration runs a full density scan on whatever points
+remain. When the scan's largest cluster holds more than accept_fraction of
+the ORIGINAL point count it is accepted and its points leave the working
+set; either way, eps and the (real-valued) min_pts accumulator escalate by
+the step before the next iteration. The loop stops at k accepted clusters,
+when the remainder falls to residual_fraction of the original size or
+below, when eps passes eps_cap, or after max_iters iterations.
+tune_eps_densest finds the best single radius, one scan per probe.
 """
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ from .dbscan import run_dbscan
 from .model import (
     AdaptiveResult,
     AdbscanParams,
+    DataError,
     Dataset,
     DbscanParams,
     IterationRecord,
     Labeling,
+    LabeledDataset,
     NOISE,
     PointClass,
     STOP_EPS_CAP,
@@ -30,6 +33,9 @@ from .model import (
     STOP_RESIDUAL,
     validate_dataset,
 )
+from .neighborhood import build_index
+
+_REL_TOL = 1e-6  # relative width of the tuner's final bracket
 
 
 def step_params(
@@ -143,3 +149,58 @@ def run_adbscan(dataset: Dataset, params: AdbscanParams) -> AdaptiveResult:
         )
 
     return AdaptiveResult(labels, classes, tuple(trace), stop)
+
+
+def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
+    """Smallest eps at which the densest blob coheres into one cluster.
+
+    The densest blob is the one whose points have the lowest median distance
+    to their min_pts-th nearest neighbor (self included; the first blob wins
+    ties). "Coheres" means: at (eps, min_pts), at least 90% of the blob's
+    points are clustered and all of its clustered points share one cluster.
+    That predicate is monotone in eps, so doubling from the blob's median
+    radius brackets the threshold and bisection narrows it; the returned
+    value is the passing endpoint of the final bracket (relative width 1e-6).
+    """
+    ds = labeled.dataset
+    truth = labeled.truth
+    members = np.flatnonzero(truth != NOISE)
+    if members.size == 0:
+        raise DataError("dataset truth has no clusters to tune against")
+    if len(ds) < min_pts:
+        raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
+
+    coords = ds.coords
+    # radius of the smallest ball around each blob point holding min_pts points (self included)
+    radii = np.empty(members.size)
+    for j, i in enumerate(members):
+        d2 = ((coords - coords[i]) ** 2).sum(axis=1)
+        radii[j] = math.sqrt(float(np.partition(d2, min_pts - 1)[min_pts - 1]))
+    member_blobs = truth[members]
+    blob_ids = np.unique(member_blobs)
+    medians = [float(np.median(radii[member_blobs == b])) for b in blob_ids]
+    densest = int(np.argmin(medians))  # argmin takes the first minimum: lowest blob id
+    target = np.flatnonzero(truth == blob_ids[densest])
+    index = build_index(ds)
+
+    def coheres(eps: float) -> bool:
+        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
+        t = lab.labels[target]
+        clustered = t[t != NOISE]
+        if clustered.size < 0.9 * target.size:
+            return False
+        return np.unique(clustered).size == 1
+
+    # Double from the blob's own density scale so probes stay cheap. The
+    # doubling ends: len(ds) >= min_pts, so once eps * eps reaches the largest
+    # pairwise d2 (or overflows) every point is core and all form one cluster.
+    lo, hi = 0.0, max(medians[densest], 1e-9)
+    while not coheres(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > max(1e-9, _REL_TOL * hi):
+        mid = 0.5 * (lo + hi)
+        if coheres(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

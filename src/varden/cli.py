@@ -2,7 +2,9 @@
 
 Subcommands: gen (synthesize a scenario), dbscan (one fixed-parameter
 scan), adbscan (adaptive escalation), eval (score a prediction against
-truth), compare (run both algorithms on one scenario side by side).
+truth), compare (run both algorithms on one scenario side by side, the
+fixed scan at the eps that adbscan.tune_eps_densest picks). This module
+only parses flags, calls the library and writes the files.
 Exit codes: 0 success, 1 usage error, 2 data error. All file outputs are
 deterministic given (input bytes, flags, seed); `VARDEN_SEED` supplies the
 seed when --seed is absent.
@@ -10,7 +12,6 @@ seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adbscan import run_adbscan
+from .adbscan import run_adbscan, tune_eps_densest
 from .dataio import (
     FileNotFound,
     RunManifest,
@@ -43,77 +44,14 @@ from .model import (
     VardenError,
     validate_labeling,
 )
-from .neighborhood import build_index, dataset_diameter
+# Not called here: kept bound because perfbench's span tracer looks these names up on varden.cli.
+from .neighborhood import build_index, dataset_diameter  # noqa: F401
 from .render import render_svg
 from .synthgen import SCENARIO_NAMES, gen_scenario, paper_scenario, parse_scenario
 
 
 class _UsageError(Exception):
     """Problems equivalent to bad flags (e.g. a malformed VARDEN_SEED)."""
-
-
-def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10, rel_tol: float = 1e-6) -> float:
-    """Smallest eps at which the densest blob coheres into one cluster.
-
-    "Coheres" means: at (eps, min_pts), at least 90% of the blob's points
-    are clustered and all of its clustered points share one cluster. That
-    predicate is monotone in eps, so a bisection over (0, diameter] finds
-    the threshold; the returned value is the passing endpoint of the final
-    bracket (relative width rel_tol).
-    """
-    ds = labeled.dataset
-    truth = labeled.truth
-    blob_ids = sorted(set(truth[truth != NOISE].tolist()))
-    if not blob_ids:
-        raise DataError("dataset truth has no clusters to tune against")
-    if len(ds) < min_pts:
-        raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
-    index = build_index(ds)
-    coords = ds.coords
-
-    densest, best = blob_ids[0], math.inf
-    for b in blob_ids:
-        members = np.flatnonzero(truth == b)
-        kth = []
-        for i in members:
-            d2 = ((coords - coords[i]) ** 2).sum(axis=1)
-            # radius of the smallest ball holding min_pts points (self included)
-            kth.append(math.sqrt(float(np.partition(d2, min_pts - 1)[min_pts - 1])))
-        med = float(np.median(kth))
-        if med < best:
-            densest, best = b, med
-
-    target = np.flatnonzero(truth == densest)
-
-    def coheres(eps: float) -> bool:
-        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
-        t = lab.labels[target]
-        clustered = t[t != NOISE]
-        if clustered.size < 0.9 * target.size:
-            return False
-        return np.unique(clustered).size == 1
-
-    # Bracket the threshold starting from the blob's own density scale so
-    # probes stay cheap, then bisect. The predicate is monotone in eps.
-    diam = dataset_diameter(ds)
-    if diam <= 0.0:
-        return diam
-    guess = min(max(best, 1e-9), diam)
-    if coheres(guess):
-        lo, hi = 0.0, guess
-    else:
-        lo, hi = guess, min(2.0 * guess, diam)
-        while not coheres(hi):
-            if hi >= diam:
-                return diam  # never coheres below the trivial radius
-            lo, hi = hi, min(2.0 * hi, diam)
-    while hi - lo > max(1e-9, rel_tol * hi):
-        mid = 0.5 * (lo + hi)
-        if coheres(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _resolve_seed(flag_seed: int | None, spec_seed: int) -> int:

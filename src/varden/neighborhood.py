@@ -38,6 +38,8 @@ class NeighborIndex:
     __slots__ = ("dataset", "_axis", "_order", "_sorted", "_keys")
 
     def __init__(self, dataset: Dataset) -> None:
+        if dataset.dim == 0:
+            raise DataError("cannot index points with no coordinate axes")
         self.dataset = dataset
         self._axis = int(np.argmax(np.ptp(dataset.coords, axis=0))) if len(dataset) else 0
         self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
@@ -86,18 +88,14 @@ def region_query_naive(dataset: Dataset, q, eps: float) -> np.ndarray:
 
 
 def dataset_diameter(dataset: Dataset) -> float:
-    """Largest pairwise Euclidean distance; 0.0 for fewer than two points."""
-    n = len(dataset)
-    if n < 2:
-        return 0.0
+    """Largest pairwise Euclidean distance; 0.0 for fewer than two points.
+
+    One row at a time, with d2 accumulated axis by axis as in the queries.
+    """
     coords = dataset.coords
     best = 0.0
-    step = 256
-    for start in range(0, n, step):
-        block = coords[start : start + step]
-        diff = block[:, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = max(best, float(d2.max()))
+    for i in range(len(dataset) - 1):
+        best = max(best, float(_axis_d2(coords[i + 1 :], coords[i]).max()))
     return math.sqrt(best)
 
 

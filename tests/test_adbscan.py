@@ -1,14 +1,20 @@
 """The escalation loop: stepping arithmetic, the acceptance bar, cluster
-removal, stop reasons, and full traces on a hand-built two-density fixture."""
+removal, stop reasons, and full traces on a hand-built two-density fixture;
+and the eps tuner: pinned results on the built-in scenarios, degenerate and
+split blobs."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_params
+from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_params, tune_eps_densest
+from varden.dbscan import run_dbscan
 from varden.model import (
     AdbscanParams,
     Dataset,
+    DbscanParams,
+    LabeledDataset,
     Labeling,
     NOISE,
     PointClass,
@@ -18,6 +24,7 @@ from varden.model import (
     STOP_RESIDUAL,
     validate_labeling,
 )
+from varden.synthgen import gen_scenario, paper_scenario
 
 
 def _ring(cx, cy, r, count):
@@ -185,3 +192,38 @@ class TestRunAdbscan:
         for rec in res.trace:
             n -= rec.accepted_size
             assert rec.remaining == n
+
+
+def _coheres(labeled, eps, min_pts=10):
+    """The tuner's predicate, restated: >= 90% of blob 0 clustered, all in one cluster."""
+    labels = run_dbscan(labeled.dataset, DbscanParams(eps, min_pts)).labels[labeled.truth == 0]
+    clustered = labels[labels != NOISE]
+    return clustered.size >= 0.9 * labels.size and np.unique(clustered).size == 1
+
+
+class TestTuneEpsDensest:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("two_equal", 0.07722781275073534),
+            ("three_varying", 0.10297041700098047),
+            ("four_varying", 0.10297041700098047),
+        ],
+    )
+    def test_pinned_on_builtin_scenarios(self, name, expected):
+        labeled = gen_scenario(replace(paper_scenario(name), seed=1))
+        assert tune_eps_densest(labeled, min_pts=10) == expected
+
+    def test_coincident_points_give_a_valid_eps(self):
+        labeled = LabeledDataset(Dataset(np.ones((12, 2))), np.zeros(12))
+        eps = tune_eps_densest(labeled, min_pts=10)
+        assert DbscanParams(eps, 10).eps == eps
+
+    def test_split_blob_result_is_the_threshold(self):
+        # one truth blob drawn as two 12-point rings 10 apart: it coheres only
+        # once eps bridges the 9.8 gap, far above the rings' own radius
+        ring = _ring(0, 0, 0.1, 12)
+        labeled = LabeledDataset(Dataset(np.array(ring + [(x + 10.0, y) for x, y in ring])), np.zeros(24))
+        eps = tune_eps_densest(labeled, min_pts=10)
+        assert _coheres(labeled, eps)
+        assert not _coheres(labeled, eps * (1 - 1.01e-6))

@@ -158,6 +158,12 @@ def test_empty_dataset_queries_by_coords():
     assert region_query(idx, (0.0, 0.0), 1.0).size == 0
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_zero_axis_dataset_is_data_error(n):
+    with pytest.raises(DataError, match="no coordinate axes"):
+        build_index(Dataset(np.empty((n, 0))))
+
+
 class TestDiameter:
     def test_known_value(self):
         ds = Dataset(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
@@ -168,11 +174,12 @@ class TestDiameter:
         assert dataset_diameter(Dataset(np.empty((0, 2)))) == 0.0
 
     def test_matches_bruteforce_random(self):
-        rng = np.random.default_rng(3)
-        ds = Dataset(rng.normal(size=(300, 2)))
-        coords = ds.coords
-        best = 0.0
-        for i in range(len(ds)):
-            d2 = ((coords - coords[i]) ** 2).sum(axis=1)
-            best = max(best, float(d2.max()))
-        assert dataset_diameter(ds) == pytest.approx(math.sqrt(best), rel=0, abs=0)
+        # the 3-d set is one where a fused d2 (einsum) lands an ulp off the axis-by-axis sum
+        for seed, shape in ((3, (300, 2)), (9, (40, 3))):
+            ds = Dataset(np.random.default_rng(seed).normal(size=shape))
+            coords = ds.coords
+            best = 0.0
+            for i in range(len(ds)):
+                d2 = ((coords - coords[i]) ** 2).sum(axis=1)
+                best = max(best, float(d2.max()))
+            assert dataset_diameter(ds) == pytest.approx(math.sqrt(best), rel=0, abs=0)
