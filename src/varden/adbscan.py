@@ -36,6 +36,7 @@ from .model import (
 from .neighborhood import build_index
 
 _REL_TOL = 1e-6  # relative width of the tuner's final bracket
+_SQUARE_OVERFLOWS = 2.0**512  # the smallest power of two whose square is inf
 
 
 def step_params(
@@ -173,9 +174,10 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     coords = ds.coords
     # radius of the smallest ball around each blob point holding min_pts points (self included)
     radii = np.empty(members.size)
-    for j, i in enumerate(members):
-        d2 = ((coords - coords[i]) ** 2).sum(axis=1)
-        radii[j] = math.sqrt(float(np.partition(d2, min_pts - 1)[min_pts - 1]))
+    with np.errstate(over="ignore"):  # an overflowing d2 is inf, like the scans' own
+        for j, i in enumerate(members):
+            d2 = ((coords - coords[i]) ** 2).sum(axis=1)
+            radii[j] = math.sqrt(float(np.partition(d2, min_pts - 1)[min_pts - 1]))
     member_blobs = truth[members]
     blob_ids = np.unique(member_blobs)
     medians = [float(np.median(radii[member_blobs == b])) for b in blob_ids]
@@ -192,9 +194,10 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
         return np.unique(clustered).size == 1
 
     # Double from the blob's own density scale so probes stay cheap. The
-    # doubling ends: len(ds) >= min_pts, so once eps * eps reaches the largest
-    # pairwise d2 (or overflows) every point is core and all form one cluster.
-    lo, hi = 0.0, max(medians[densest], 1e-9)
+    # doubling ends, with hi finite: len(ds) >= min_pts, so once eps * eps
+    # reaches the largest pairwise d2 or overflows, as it does from 2^512 on,
+    # every point is core and all form one cluster.
+    lo, hi = 0.0, min(max(medians[densest], 1e-9), _SQUARE_OVERFLOWS)
     while not coheres(hi):
         lo, hi = hi, 2.0 * hi
     while hi - lo > max(1e-9, _REL_TOL * hi):

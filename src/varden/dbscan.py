@@ -1,9 +1,15 @@
 """Density-based clustering on a fixed (eps, min_pts).
 
 A point is CORE when its closed eps-ball holds at least min_pts points
-(itself included). Clusters grow breadth-first from unvisited core points in
-index order; non-core points inside a reached ball become BORDER and stay
-with the first cluster that claims them. Everything else is NOISE.
+(itself included). Clusters are the connected components of the core points
+under eps adjacency, numbered in order of each component's smallest index. A
+non-core point with a core point in its ball is BORDER and joins the lowest
+numbered cluster among those core neighbors; every other point is NOISE.
+This is the set-wise definition of grid DBSCAN (Gan & Tao, SIGMOD 2015), and
+it gives the same ids as the classic breadth-first scan in index order: that
+scan opens a cluster at the first unvisited core point, which is its
+component's smallest index, and a border point stays with the first cluster
+that reaches it, which is the lowest numbered one.
 """
 from __future__ import annotations
 
@@ -21,44 +27,102 @@ from .model import (
 )
 from .neighborhood import NeighborIndex, build_index, region_query
 
+_UNION_BUDGET = 1 << 10  # core-core edges buffered between unions
 
-def _neighborhoods(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None):
-    if index is None:
-        index = build_index(dataset)
-    hoods = [region_query(index, i, params.eps) for i in range(len(dataset))]
-    core = np.fromiter((h.size >= params.min_pts for h in hoods), dtype=bool, count=len(hoods))
-    return hoods, core
+
+def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Roots of the nodes x; each x is pointed straight at its root."""
+    r = parent[x]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            break
+        r = up
+    parent[x] = r
+    return r
+
+
+def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Merge the components of every edge (u, v), given by two roots, in the forest parent.
+
+    parent[x] <= x always holds, so each component's root is its smallest
+    index. Each round hooks the larger root of every split edge under the
+    smaller one, then flattens the chains this can form among those roots;
+    unflattened, the points of a line would chain up one hook per point and
+    every later round would walk that chain one link at a time.
+    """
+    while True:
+        split = u != v
+        if not split.any():
+            return
+        u, v = u[split], v[split]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        ends = np.concatenate((u, v))
+        while True:
+            up = parent[parent[ends]]
+            if np.array_equal(up, parent[ends]):
+                break
+            parent[ends] = up
+        u, v = parent[u], parent[v]
 
 
 def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None = None) -> Labeling:
     """Cluster the dataset; returns per-point labels and point classes.
 
-    The scan visits points in index order, so cluster ids and border
-    ownership are deterministic; the core/noise split and the partition of
-    core points do not depend on that order.
+    Two passes over the index's neighbor tiles: the first counts each ball
+    and fixes the core set, the second joins core-core neighbors with a
+    union-find and collects each border point's core neighbors. Cluster ids
+    and border ownership follow index order, as in the module docstring.
     """
     validate_dataset(dataset)
     n = len(dataset)
-    hoods, core = _neighborhoods(dataset, params, index)
+    if index is None:
+        index = build_index(dataset)
+    eps, min_pts = params.eps, params.min_pts
+
+    degree = np.zeros(n, dtype=np.int64)
+    for rows, _, hit in index.tiles(eps):
+        degree[rows] = hit.sum(axis=1)
+    core = degree >= min_pts
+
+    parent = np.arange(n)
+    edges: list[tuple[np.ndarray, np.ndarray]] = []
+    buffered = 0
+    # (border, core neighbor) pairs: a non-core point has fewer than min_pts
+    # neighbors, and no more core neighbors than there are cores
+    slots = int(np.minimum(degree[~core], core.sum()).sum())
+    border_rows, border_cores = np.empty(slots, dtype=np.int64), np.empty(slots, dtype=np.int64)
+    filled = 0
+    for rows, cols, hit in index.tiles(eps):
+        row_core, col_core = core[rows], core[cols]
+        cores = cols[col_core]
+        hit = hit[:, col_core]
+        core_rows = rows[row_core]
+        ru, rv = _find(parent, core_rows), _find(parent, cores)
+        # each edge once, from its smaller end, and only while its ends are apart
+        i, j = np.nonzero(hit[row_core] & (core_rows[:, None] < cores) & (ru[:, None] != rv))
+        edges.append((ru[i], rv[j]))
+        buffered += i.size
+        if buffered >= _UNION_BUDGET:
+            _union(parent, *map(np.concatenate, zip(*edges)))
+            edges, buffered = [], 0
+        i, j = np.nonzero(hit[~row_core])
+        border_rows[filled : filled + i.size] = rows[~row_core][i]
+        border_cores[filled : filled + i.size] = cores[j]
+        filled += i.size
+    if buffered:
+        _union(parent, *map(np.concatenate, zip(*edges)))
 
     labels = np.full(n, NOISE, dtype=np.int64)
-    next_id = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
-            continue
-        labels[seed] = next_id
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
-            for r in hoods[x]:
-                if labels[r] == NOISE:
-                    labels[r] = next_id
-                    if core[r]:
-                        queue.append(r)
-        next_id += 1
+    core_idx = np.flatnonzero(core)
+    labels[core_idx] = np.unique(_find(parent, core_idx), return_inverse=True)[1]
+    border = np.full(n, n, dtype=np.int64)
+    np.minimum.at(border, border_rows[:filled], labels[border_cores[:filled]])
+    reached = border < n
+    labels[reached] = border[reached]
 
     classes = np.full(n, int(PointClass.NOISE), dtype=np.int8)
-    classes[labels != NOISE] = int(PointClass.BORDER)
+    classes[reached] = int(PointClass.BORDER)
     classes[core] = int(PointClass.CORE)
     return Labeling(labels, classes)
 

@@ -1,6 +1,7 @@
 """Fixed-radius neighbor search over a dataset.
 
-A sweep index (``build_index`` / ``region_query``) and a pure-Python scan
+A sweep index (``build_index`` / ``region_query``, or every neighborhood at
+once through ``NeighborIndex.tiles``) and a pure-Python scan
 (``region_query_naive``) answer the closed-ball query |q - p| <= eps. Both
 accumulate d2 axis by axis in the same order and compare it with the same
 eps * eps, so they agree bit for bit, boundary points included.
@@ -13,14 +14,28 @@ import numpy as np
 
 from .model import Dataset, DataError, ParamError
 
+_STRIP = 256  # sweep positions per strip, re-sorted along the second axis
+_TILE = 32  # query rows per tile
 
-def _axis_d2(block: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances accumulated axis by axis (matches the naive scan)."""
-    d2 = np.zeros(block.shape[0])
-    for ax in range(block.shape[1]):
-        diff = block[:, ax] - q[ax]
-        d2 += diff * diff
+
+def _axis_d2(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Squared distances, queries x cands, accumulated axis by axis as
+    (cand - query)**2 like the naive scan; a square that overflows is inf there too."""
+    d2 = np.zeros((queries.shape[0], cands.shape[0]))
+    diff = np.empty_like(d2)
+    with np.errstate(over="ignore"):
+        for ax in range(cands.shape[1]):
+            np.subtract(cands[:, ax], queries[:, ax, None], out=diff)
+            diff *= diff
+            d2 += diff
     return d2
+
+
+def _half_width(eps: float) -> float:
+    """Per-axis reach w of a radius-eps ball that no hit exceeds; inf once eps * eps overflows."""
+    if eps * eps == math.inf:
+        return math.inf
+    return max(eps, 2.0**-511) * (1 + 2.0**-50)
 
 
 class NeighborIndex:
@@ -32,16 +47,29 @@ class NeighborIndex:
     may reach eps * (1 + 3u) and an unpadded q_a -+ eps slab drops it; with
     w = eps * (1 + 2^-50) and monotone rounding the slab is a superset and the
     d2 test decides. eps is floored at 2^-511, below which eps * eps is
-    subnormal; once eps * eps overflows, the slab is the whole axis.
+    subnormal; once eps * eps overflows, w is infinite and the slab is the
+    whole axis.
+
+    ``tiles`` answers every query at once, in bounded blocks. It cuts the sweep
+    order into strips, re-sorts each strip along the second-largest spread and
+    cuts it into tiles of rows. A tile's candidates are the points of its rows'
+    joint slab that also lie in the rows' bounding box padded by w on every
+    axis. Every hit is within w of its row on every axis, because
+    fl(diff * diff) <= d2, and rounding is monotone, so fl(min - w) is the
+    smallest of the rows' fl(r_a - w): both filters keep a superset of the hits
+    and the d2 test decides, exactly as in a query.
     """
 
-    __slots__ = ("dataset", "_axis", "_order", "_sorted", "_keys")
+    __slots__ = ("dataset", "_axis", "_axis2", "_order", "_sorted", "_keys")
 
     def __init__(self, dataset: Dataset) -> None:
         if dataset.dim == 0:
             raise DataError("cannot index points with no coordinate axes")
         self.dataset = dataset
-        self._axis = int(np.argmax(np.ptp(dataset.coords, axis=0))) if len(dataset) else 0
+        spread = np.ptp(dataset.coords, axis=0) if len(dataset) else np.zeros(dataset.dim)
+        by_spread = np.argsort(-spread, kind="stable")
+        self._axis = int(by_spread[0])
+        self._axis2 = int(by_spread[min(1, dataset.dim - 1)])
         self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
         self._sorted = dataset.coords[self._order]
         self._keys = np.ascontiguousarray(self._sorted[:, self._axis])
@@ -51,11 +79,32 @@ class NeighborIndex:
         qc = _query_coords(self.dataset, q)
         eps = _check_eps(eps)
         qa = float(qc[self._axis])
-        w = max(eps, 2.0**-511) * (1 + 2.0**-50)
-        lo_key, hi_key = (qa - w, qa + w) if eps * eps < math.inf else (-math.inf, math.inf)
-        lo = int(np.searchsorted(self._keys, lo_key, side="left"))
-        hi = int(np.searchsorted(self._keys, hi_key, side="right"))
-        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc) <= eps * eps])
+        w = _half_width(eps)
+        lo = int(np.searchsorted(self._keys, qa - w, side="left"))
+        hi = int(np.searchsorted(self._keys, qa + w, side="right"))
+        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc[None])[0] <= eps * eps])
+
+    def tiles(self, eps: float):
+        """Yield (rows, cols, hit) blocks that together hold every neighborhood.
+
+        Every point is a row of exactly one tile. cols holds the tile's
+        candidates and hit[i, j] is d2(rows[i], cols[j]) <= eps * eps, so
+        cols[hit[i]] is rows[i]'s neighborhood, in sweep order.
+        """
+        eps = _check_eps(eps)
+        w = _half_width(eps)
+        keys, pts = self._keys, self._sorted
+        lo = np.searchsorted(keys, keys - w, side="left")
+        hi = np.searchsorted(keys, keys + w, side="right")
+        for s in range(0, len(keys), _STRIP):
+            strip = s + np.argsort(pts[s : s + _STRIP, self._axis2], kind="stable")
+            for t in range(0, strip.size, _TILE):
+                pos = strip[t : t + _TILE]
+                a, b = lo[pos.min()], hi[pos.max()]
+                queries, window = pts[pos], pts[a:b]
+                near = ((window >= queries.min(axis=0) - w) & (window <= queries.max(axis=0) + w)).all(axis=1)
+                hit = _axis_d2(window[near], queries) <= eps * eps
+                yield self._order[pos], self._order[a:b][near], hit
 
 
 def build_index(dataset: Dataset) -> NeighborIndex:
@@ -95,7 +144,7 @@ def dataset_diameter(dataset: Dataset) -> float:
     coords = dataset.coords
     best = 0.0
     for i in range(len(dataset) - 1):
-        best = max(best, float(_axis_d2(coords[i + 1 :], coords[i]).max()))
+        best = max(best, float(_axis_d2(coords[i + 1 :], coords[i : i + 1]).max()))
     return math.sqrt(best)
 
 

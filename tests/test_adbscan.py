@@ -227,3 +227,13 @@ class TestTuneEpsDensest:
         eps = tune_eps_densest(labeled, min_pts=10)
         assert _coheres(labeled, eps)
         assert not _coheres(labeled, eps * (1 - 1.01e-6))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ring_whose_squared_distances_overflow(self):
+        # every pairwise d2 of a ring of radius 1e160 overflows, so the blob
+        # coheres only at an eps whose square overflows too, and such an eps is finite
+        labeled = LabeledDataset(Dataset(np.array(_ring(0, 0, 1e160, 12))), np.zeros(12))
+        eps = tune_eps_densest(labeled, min_pts=10)
+        assert DbscanParams(eps, 10).eps == eps
+        assert eps * eps == math.inf
+        assert _coheres(labeled, eps)

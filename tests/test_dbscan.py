@@ -1,11 +1,18 @@
 """Single-scan clustering: hand-worked fixtures, the reachability
-predicates, and the classic invariants (order independence of the core
-partition, eps monotonicity of the core set)."""
+predicates, the classic invariants (order independence of the core
+partition, eps monotonicity of the core set), agreement with a
+breadth-first reference scan, and bounded memory on coincident points."""
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varden.metrics import adjusted_rand_index
 from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
+from varden.neighborhood import region_query_naive
 from varden.dbscan import (
     classify_point,
     is_density_connected,
@@ -209,3 +216,79 @@ class TestInvariants:
         lab = run_dbscan(ds, DbscanParams(0.7, 4))
         for cid in range(lab.n_clusters):
             assert np.any((lab.labels == cid) & (lab.classes == C))
+
+
+def _reference_dbscan(ds, params):
+    """The classic breadth-first scan in index order, over the naive neighborhoods."""
+    hoods = [region_query_naive(ds, i, params.eps) for i in range(len(ds))]
+    core = [h.size >= params.min_pts for h in hoods]
+    labels = [NOISE] * len(ds)
+    next_id = 0
+    for seed in range(len(ds)):
+        if not core[seed] or labels[seed] != NOISE:
+            continue
+        labels[seed] = next_id
+        queue = deque([seed])
+        while queue:
+            for r in hoods[queue.popleft()]:
+                if labels[r] == NOISE:
+                    labels[r] = next_id
+                    if core[r]:
+                        queue.append(r)
+        next_id += 1
+    classes = [C if c else B if l != NOISE else N for c, l in zip(core, labels)]
+    return labels, classes
+
+
+@st.composite
+def _scan_inputs(draw):
+    """Lattice points (exact eps ties), few sites (heavy duplication), d = 1..3,
+    and radii from tiny (eps * eps underflows) to huge (it overflows)."""
+    dim = draw(st.integers(1, 3))
+    sites = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(sites) - 1), min_size=1, max_size=40))
+    step = draw(st.sampled_from([0.25, 0.5, 0.1]))
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e150]))
+    coords = np.array([sites[i] for i in picks], dtype=float) * step * scale
+    eps = draw(
+        st.sampled_from([step * scale * f for f in (1.0, 2.0, 2**0.5, 1.5, 1e3)] + [1e-170, 1e200])
+    )
+    min_pts = draw(st.integers(1, len(picks) + 2))
+    return Dataset(coords), DbscanParams(eps, min_pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs())
+def test_matches_breadth_first_reference(case):
+    ds, params = case
+    lab = run_dbscan(ds, params)
+    labels, classes = _reference_dbscan(ds, params)
+    assert lab.labels.tolist() == labels
+    assert lab.classes.tolist() == classes
+
+
+@pytest.mark.parametrize("min_pts", [4, 80])
+def test_matches_reference_across_union_flushes(min_pts):
+    # 1000 lattice points over 4 strips, about 62 per ball: at min_pts 4 all
+    # 30k core-core pairs, more than one union buffer holds; at 80, four
+    # clusters and 532 border points
+    rng = np.random.default_rng(min_pts)
+    ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
+    params = DbscanParams(1.5, min_pts)
+    lab = run_dbscan(ds, params)
+    labels, classes = _reference_dbscan(ds, params)
+    assert lab.labels.tolist() == labels
+    assert lab.classes.tolist() == classes
+
+
+def test_coincident_points_stay_in_bounded_memory():
+    # every pair of the 3000 points is a neighbor pair: 9M of them
+    ds = Dataset(np.zeros((3000, 2)))
+    tracemalloc.start()
+    try:
+        lab = run_dbscan(ds, DbscanParams(0.5, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lab.n_clusters == 1 and (lab.classes == C).all()
+    assert peak < 16 * 2**20

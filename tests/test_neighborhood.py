@@ -1,5 +1,5 @@
-"""Radius search: the sweep-index route must match the naive scan exactly,
-boundary points included."""
+"""Radius search: the sweep-index routes (one query, or every neighborhood
+through the tiles) must match the naive scan exactly, boundary points included."""
 import math
 
 import numpy as np
@@ -91,28 +91,128 @@ def test_matches_naive_at_exact_boundary_radii():
                 assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_matches_naive_at_slab_edges(dim, scale):
-    # Points at q_a +- eps and the next 3 floats outward on every axis: the
-    # ones that pass the d2 test lie just outside an unpadded q_a +- eps slab.
+def _edge_points(q, eps, axes):
+    """q's copies at q_a +- eps and the next 3 floats outward, for each axis a in axes."""
+    pts = []
+    for ax in axes:
+        for sign in (-1.0, 1.0):
+            p = q.copy()
+            p[ax] = q[ax] + sign * eps
+            for _ in range(4):
+                pts.append(p.copy())
+                p[ax] = np.nextafter(p[ax], sign * np.inf)
+    return pts
+
+
+def _slab_edge_cases(dim, scale):
+    """(dataset, eps) pairs: a query point q with its edge points on every axis.
+
+    The edge points that pass the d2 test lie just outside an unpadded
+    q_a +- eps slab.
+    """
     rng = np.random.default_rng(dim)
     for eps_scale in (1e-6, 1.0, 1e6):
         for _ in range(10):
             q = rng.uniform(-scale, scale, size=dim)
             eps = float(rng.uniform(0.1, 1.0)) * eps_scale
-            pts = [q]
-            for ax in range(dim):
-                for sign in (-1.0, 1.0):
-                    p = q.copy()
-                    p[ax] = q[ax] + sign * eps
-                    for _ in range(4):
-                        pts.append(p.copy())
-                        p[ax] = np.nextafter(p[ax], sign * np.inf)
-            ds = Dataset(np.array(pts))
-            idx = build_index(ds)
-            for i in range(len(ds)):
-                assert np.array_equal(region_query(idx, i, eps), region_query_naive(ds, i, eps))
+            yield Dataset(np.array([q, *_edge_points(q, eps, range(dim))])), eps
+
+
+def _bbox_edge_cases(dim, scale):
+    """(dataset, eps) pairs whose tiles cut between a row and its edge points.
+
+    12 queries on a line along axis 0, 3 eps long, so axis 0 is the sweep
+    axis, each with its edge points on the other axes. Cut into tiles along
+    the second axis, some tiles hold queries but not their edge points on
+    one side, which then lie just outside an unpadded bounding box.
+    """
+    rng = np.random.default_rng(10 + dim)
+    for eps_scale in (1e-6, 1.0, 1e6):
+        for _ in range(2):
+            q0 = rng.uniform(-scale, scale, size=dim)
+            eps = float(rng.uniform(0.1, 1.0)) * eps_scale
+            pts = []
+            for i in range(12):
+                q = q0.copy()
+                q[0] += i * eps / 4
+                pts += [q, *_edge_points(q, eps, range(1, dim))]
+            yield Dataset(np.array(pts)[rng.permutation(len(pts))]), eps
+
+
+def _tile_neighborhoods(ds, eps):
+    """Each point's hits gathered from the tiles, ascending; every point is a row once."""
+    hoods = [None] * len(ds)
+    for rows, cols, hit in build_index(ds).tiles(eps):
+        assert hit.shape == (rows.size, cols.size)
+        for r, h in zip(rows, hit):
+            assert hoods[r] is None
+            hoods[r] = np.sort(cols[h])
+    return hoods
+
+
+def _assert_tiles_match_naive(ds, eps):
+    for i, hood in enumerate(_tile_neighborhoods(ds, eps)):
+        assert np.array_equal(hood, region_query_naive(ds, i, eps))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_matches_naive_at_slab_edges(dim, scale):
+    for ds, eps in _slab_edge_cases(dim, scale):
+        idx = build_index(ds)
+        for i in range(len(ds)):
+            assert np.array_equal(region_query(idx, i, eps), region_query_naive(ds, i, eps))
+
+
+class TestTiles:
+    """Every point's hits, gathered across all tiles, equal the naive scan's."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_slab_edges(self, dim, scale):
+        for ds, eps in _slab_edge_cases(dim, scale):
+            _assert_tiles_match_naive(ds, eps)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_second_axis_bounding_box_edges(self, dim, scale):
+        for ds, eps in _bbox_edge_cases(dim, scale):
+            _assert_tiles_match_naive(ds, eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_lattice(self, dim):
+        # more points than one strip, on a lattice that puts pairs at exactly eps
+        rng = np.random.default_rng(dim)
+        ds = Dataset(rng.integers(0, 12, size=(300, dim)) * 0.25)
+        for eps in (0.25, 2**0.5 * 0.25, 1.0):
+            _assert_tiles_match_naive(ds, eps)
+
+    def test_axis_with_zero_spread(self):
+        rng = np.random.default_rng(7)
+        shared_y = rng.integers(0, 30, size=(100, 2)).astype(float)
+        shared_y[:, 1] = 3.0
+        for coords in (shared_y, shared_y[:, ::-1], np.full((100, 2), 2.5)):
+            for eps in (0.5, 1.0, 4.0):
+                _assert_tiles_match_naive(Dataset(coords), eps)
+
+    def test_eps_squared_underflows_or_overflows(self):
+        # eps * eps is subnormal, zero or infinite, and the naive scan's d2
+        # rounds alike for points well beyond eps; on the 80-point lines
+        # those points lie in other tiles
+        tiny = np.zeros((80, 2))
+        tiny[:, 0] = np.arange(80) * 1e-163
+        huge = np.zeros((80, 2))
+        huge[:, 0] = np.linspace(-1e300, 1e300, 80)
+        mixed = np.array([[0.0, 0.0], [1e-163, 0.0], [0.0, -3e-160], [1e300, 0.0], [-1e300, 5.0]])
+        for coords in (tiny, huge, mixed):
+            for eps in (1e-170, 1e-158, 1e155, 1e200):
+                _assert_tiles_match_naive(Dataset(coords), eps)
+
+    def test_eps_validation(self, grid_ds):
+        idx = build_index(grid_ds)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParamError):
+                next(idx.tiles(bad))
 
 
 def test_matches_naive_when_eps_squared_underflows_or_overflows():
