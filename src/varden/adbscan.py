@@ -1,4 +1,4 @@
-"""Picking eps by rescanning: the adaptive escalation loop and the eps tuner.
+"""Picking eps: the adaptive escalation loop and the eps tuner.
 
 Each run_adbscan iteration runs a full density scan on whatever points
 remain. When the scan's largest cluster holds more than accept_fraction of
@@ -7,7 +7,8 @@ set; either way, eps and the (real-valued) min_pts accumulator escalate by
 the step before the next iteration. The loop stops at k accepted clusters,
 when the remainder falls to residual_fraction of the original size or
 below, when eps passes eps_cap, or after max_iters iterations.
-tune_eps_densest finds the best single radius, one scan per probe.
+tune_eps_densest finds the best single radius with one neighbor scan per
+bracket: its probes relabel from the pairs that scan kept (dbscan.EpsBracket).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .dbscan import run_dbscan
+from .dbscan import EpsBracket, run_dbscan
 from .model import (
     AdaptiveResult,
     AdbscanParams,
@@ -31,9 +32,10 @@ from .model import (
     STOP_K_REACHED,
     STOP_MAX_ITERS,
     STOP_RESIDUAL,
+    check_min_pts,
     validate_dataset,
 )
-from .neighborhood import build_index
+from .neighborhood import build_index, kth_d2
 
 _REL_TOL = 1e-6  # relative width of the tuner's final bracket
 _SQUARE_OVERFLOWS = 2.0**512  # the smallest power of two whose square is inf
@@ -162,7 +164,16 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     That predicate is monotone in eps, so doubling from the blob's median
     radius brackets the threshold and bisection narrows it; the returned
     value is the passing endpoint of the final bracket (relative width 1e-6).
+
+    Every point's min_pts-th smallest d2 comes from one blocked sweep over
+    all pairs, and a point is core at eps exactly when it is <= eps * eps.
+    Each bracket [lo, hi] the search visits, at most a factor of two wide,
+    scans the neighbor tiles once at hi into a dbscan.EpsBracket, and its
+    probes only relabel from the pairs that scan kept. Memory is O(n + kept
+    pairs): coincident stacks fold into the bracket's base forest, and only
+    the closest pair between two of its components is kept.
     """
+    min_pts = check_min_pts(min_pts)
     ds = labeled.dataset
     truth = labeled.truth
     members = np.flatnonzero(truth != NOISE)
@@ -171,13 +182,8 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     if len(ds) < min_pts:
         raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
 
-    coords = ds.coords
-    # radius of the smallest ball around each blob point holding min_pts points (self included)
-    radii = np.empty(members.size)
-    with np.errstate(over="ignore"):  # an overflowing d2 is inf, like the scans' own
-        for j, i in enumerate(members):
-            d2 = ((coords - coords[i]) ** 2).sum(axis=1)
-            radii[j] = math.sqrt(float(np.partition(d2, min_pts - 1)[min_pts - 1]))
+    core_d2 = kth_d2(ds, min_pts)
+    radii = np.sqrt(core_d2[members])
     member_blobs = truth[members]
     blob_ids = np.unique(member_blobs)
     medians = [float(np.median(radii[member_blobs == b])) for b in blob_ids]
@@ -185,8 +191,7 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     target = np.flatnonzero(truth == blob_ids[densest])
     index = build_index(ds)
 
-    def coheres(eps: float) -> bool:
-        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
+    def coheres(lab: Labeling) -> bool:
         t = lab.labels[target]
         clustered = t[t != NOISE]
         if clustered.size < 0.9 * target.size:
@@ -196,13 +201,20 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     # Double from the blob's own density scale so probes stay cheap. The
     # doubling ends, with hi finite: len(ds) >= min_pts, so once eps * eps
     # reaches the largest pairwise d2 or overflows, as it does from 2^512 on,
-    # every point is core and all form one cluster.
+    # every point is core and all form one cluster. Each EpsBracket spans a
+    # factor of two and answers every probe made while it stands. The first
+    # starts at hi / 2, not 0, so that pairs already core-core there fold
+    # into its forest; at 0 only coincident stacks would.
     lo, hi = 0.0, min(max(medians[densest], 1e-9), _SQUARE_OVERFLOWS)
-    while not coheres(hi):
+    bracket = EpsBracket(index, core_d2, 0.5 * hi, hi)
+    while not coheres(bracket.labeling(hi)):
         lo, hi = hi, 2.0 * hi
+        bracket = EpsBracket(index, core_d2, lo, hi)
     while hi - lo > max(1e-9, _REL_TOL * hi):
         mid = 0.5 * (lo + hi)
-        if coheres(mid):
+        if mid < bracket.lo:  # lo is still 0, and the blob cohered at every probe so far
+            bracket = EpsBracket(index, core_d2, mid, hi)
+        if coheres(bracket.labeling(mid)):
             hi = mid
         else:
             lo = mid

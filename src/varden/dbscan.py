@@ -9,7 +9,8 @@ This is the set-wise definition of grid DBSCAN (Gan & Tao, SIGMOD 2015), and
 it gives the same ids as the classic breadth-first scan in index order: that
 scan opens a cluster at the first unvisited core point, which is its
 component's smallest index, and a border point stays with the first cluster
-that reaches it, which is the lowest numbered one.
+that reaches it, which is the lowest numbered one. ``EpsBracket`` gives
+the same labeling at any eps of a bracket from one scan at its top.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .model import (
 from .neighborhood import NeighborIndex, build_index, region_query
 
 _UNION_BUDGET = 1 << 10  # core-core edges buffered between unions
+_PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
 
 
 def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -79,10 +81,10 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
     if index is None:
         index = build_index(dataset)
     eps, min_pts = params.eps, params.min_pts
-
+    e2 = eps * eps
     degree = np.zeros(n, dtype=np.int64)
-    for rows, _, hit in index.tiles(eps):
-        degree[rows] = hit.sum(axis=1)
+    for rows, _, d2 in index.tiles(eps):
+        degree[rows] = (d2 <= e2).sum(axis=1)
     core = degree >= min_pts
 
     parent = np.arange(n)
@@ -93,10 +95,10 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
     slots = int(np.minimum(degree[~core], core.sum()).sum())
     border_rows, border_cores = np.empty(slots, dtype=np.int64), np.empty(slots, dtype=np.int64)
     filled = 0
-    for rows, cols, hit in index.tiles(eps):
+    for rows, cols, d2 in index.tiles(eps):
         row_core, col_core = core[rows], core[cols]
         cores = cols[col_core]
-        hit = hit[:, col_core]
+        hit = d2[:, col_core] <= e2
         core_rows = rows[row_core]
         ru, rv = _find(parent, core_rows), _find(parent, cores)
         # each edge once, from its smaller end, and only while its ends are apart
@@ -112,12 +114,21 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
         filled += i.size
     if buffered:
         _union(parent, *map(np.concatenate, zip(*edges)))
+    return _labeling(parent, core, border_rows[:filled], border_cores[:filled])
 
+
+def _labeling(parent: np.ndarray, core: np.ndarray, border_rows: np.ndarray, border_cores: np.ndarray) -> Labeling:
+    """Labels and classes from the core points' forest and the (border, core neighbor) pairs.
+
+    Cluster ids go by each component's smallest core index, and a border
+    point takes the smallest id among its core neighbors.
+    """
+    n = core.size
     labels = np.full(n, NOISE, dtype=np.int64)
     core_idx = np.flatnonzero(core)
     labels[core_idx] = np.unique(_find(parent, core_idx), return_inverse=True)[1]
     border = np.full(n, n, dtype=np.int64)
-    np.minimum.at(border, border_rows[:filled], labels[border_cores[:filled]])
+    np.minimum.at(border, border_rows, labels[border_cores])
     reached = border < n
     labels[reached] = border[reached]
 
@@ -125,6 +136,82 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
     classes[reached] = int(PointClass.BORDER)
     classes[core] = int(PointClass.CORE)
     return Labeling(labels, classes)
+
+
+class EpsBracket:
+    """DBSCAN for one min_pts at every eps in [lo, hi], from one scan of the tiles at hi.
+
+    core_d2[p] is p's min_pts-th smallest d2, itself included, so p is core at
+    eps exactly when core_d2[p] <= eps * eps, and a pair is a core-core edge
+    exactly when its mutual reachability max(d2, core_d2[i], core_d2[j])
+    (Campello, Moulavi & Sander, PAKDD 2013) is <= eps * eps.
+
+    The scan visits each pair within hi once. A pair that is an edge already
+    at lo is one at every eps of the bracket, so it joins a base union-find
+    forest. A pair with neither end core at hi is never an edge nor a border
+    link, and is dropped. Of the rest only the closest pair between two base
+    components (or a component and a point, or two points) is kept, as
+    (i, j, d2): the two sides touch at eps exactly when that pair is within
+    eps, and either end stands for its component. ``labeling(eps)`` joins the
+    kept core-core pairs within eps into a copy of the forest and reads the
+    border links off the rest, with no scan. Memory is O(n + kept pairs): a
+    stack of coincident core points folds into the forest, and stacks near
+    each other keep one pair between them.
+    """
+
+    __slots__ = ("lo", "_core_d2", "_parent", "_pairs")
+
+    def __init__(self, index: NeighborIndex, core_d2: np.ndarray, lo: float, hi: float) -> None:
+        lo2, hi2 = lo * lo, hi * hi
+        core_lo, core_hi = core_d2 <= lo2, core_d2 <= hi2
+        parent = np.arange(core_d2.size)
+        kept: list[tuple[np.ndarray, ...]] = []
+        held = cut = 0
+        for rows, cols, d2 in index.tiles(hi):
+            ru, rv = _find(parent, rows), _find(parent, cols)
+            # each pair once, from its smaller end, and only while its ends are apart
+            pair = (d2 <= hi2) & (rows[:, None] < cols) & (ru[:, None] != rv)
+            fold = core_lo[rows][:, None] & core_lo[cols] & (d2 <= lo2)
+            i, j = np.nonzero(pair & fold)
+            _union(parent, ru[i], rv[j])
+            i, j = np.nonzero(pair & ~fold & (core_hi[rows][:, None] | core_hi[cols]))
+            kept.append((rows[i], cols[j], d2[i, j]))
+            held += i.size
+            if held > _PAIR_BUDGET + 2 * cut:
+                kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
+                held = cut = kept[0][0].size
+        self.lo = lo
+        self._core_d2 = core_d2
+        self._pairs = _closest_pairs(parent, *map(np.concatenate, zip(*kept)))
+        _find(parent, np.arange(parent.size))
+        self._parent = parent
+
+    def labeling(self, eps: float) -> Labeling:
+        """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi]."""
+        e2 = eps * eps
+        core = self._core_d2 <= e2
+        i, j, d2 = self._pairs
+        near = d2 <= e2
+        i, j = i[near], j[near]
+        ci, cj = core[i], core[j]
+        parent = self._parent.copy()
+        both = ci & cj
+        _union(parent, _find(parent, i[both]), _find(parent, j[both]))
+        one = ci != cj
+        return _labeling(parent, core, np.where(ci, j, i)[one], np.where(ci, i, j)[one])
+
+
+def _closest_pairs(parent: np.ndarray, i: np.ndarray, j: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pairs (i, j, d2) whose ends lie in two components of parent, cut down to the closest one per two components."""
+    ri, rj = _find(parent, i), _find(parent, j)
+    apart = ri != rj
+    i, j, d2 = i[apart], j[apart], d2[apart]
+    key = np.minimum(ri, rj)[apart] * parent.size + np.maximum(ri, rj)[apart]
+    order = np.lexsort((d2, key))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    order = order[first]
+    return i[order], j[order], d2[order]
 
 
 def classify_point(

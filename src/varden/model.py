@@ -154,6 +154,13 @@ def validate_dataset(ds: Dataset) -> None:
         raise DataError(f"non-finite coordinate at point {bad}")
 
 
+def check_min_pts(min_pts) -> int:
+    """min_pts as an int (3.0 is 3); ParamError unless it is an integer >= 1."""
+    if int(min_pts) != min_pts or int(min_pts) < 1:
+        raise ParamError(f"min_pts must be an integer >= 1, got {min_pts!r}")
+    return int(min_pts)
+
+
 @dataclass(frozen=True)
 class DbscanParams:
     """Parameters for a single density scan.
@@ -169,11 +176,8 @@ class DbscanParams:
         eps = float(self.eps)
         if not math.isfinite(eps) or eps <= 0.0:
             raise ParamError(f"eps must be finite and > 0, got {self.eps!r}")
-        min_pts = self.min_pts
-        if int(min_pts) != min_pts or int(min_pts) < 1:
-            raise ParamError(f"min_pts must be an integer >= 1, got {self.min_pts!r}")
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "min_pts", int(min_pts))
+        object.__setattr__(self, "min_pts", check_min_pts(self.min_pts))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ A sweep index (``build_index`` / ``region_query``, or every neighborhood at
 once through ``NeighborIndex.tiles``) and a pure-Python scan
 (``region_query_naive``) answer the closed-ball query |q - p| <= eps. Both
 accumulate d2 axis by axis in the same order and compare it with the same
-eps * eps, so they agree bit for bit, boundary points included.
+eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``
+gives each point's k-th smallest d2 with the same arithmetic.
 """
 from __future__ import annotations
 
@@ -85,11 +86,11 @@ class NeighborIndex:
         return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc[None])[0] <= eps * eps])
 
     def tiles(self, eps: float):
-        """Yield (rows, cols, hit) blocks that together hold every neighborhood.
+        """Yield (rows, cols, d2) blocks that together hold every neighborhood.
 
         Every point is a row of exactly one tile. cols holds the tile's
-        candidates and hit[i, j] is d2(rows[i], cols[j]) <= eps * eps, so
-        cols[hit[i]] is rows[i]'s neighborhood, in sweep order.
+        candidates and d2[i, j] is their squared distance to rows[i], so
+        cols[d2[i] <= eps * eps] is rows[i]'s neighborhood, in sweep order.
         """
         eps = _check_eps(eps)
         w = _half_width(eps)
@@ -103,8 +104,7 @@ class NeighborIndex:
                 a, b = lo[pos.min()], hi[pos.max()]
                 queries, window = pts[pos], pts[a:b]
                 near = ((window >= queries.min(axis=0) - w) & (window <= queries.max(axis=0) + w)).all(axis=1)
-                hit = _axis_d2(window[near], queries) <= eps * eps
-                yield self._order[pos], self._order[a:b][near], hit
+                yield self._order[pos], self._order[a:b][near], _axis_d2(window[near], queries)
 
 
 def build_index(dataset: Dataset) -> NeighborIndex:
@@ -146,6 +146,25 @@ def dataset_diameter(dataset: Dataset) -> float:
     for i in range(len(dataset) - 1):
         best = max(best, float(_axis_d2(coords[i + 1 :], coords[i : i + 1]).max()))
     return math.sqrt(best)
+
+
+def kth_d2(dataset: Dataset, k: int) -> np.ndarray:
+    """Each point's k-th smallest d2 to the points, itself included.
+
+    Blocks of rows against every point, with d2 accumulated axis by axis as
+    in the queries, so a point's closed eps-ball holds at least k points
+    exactly when its value is <= eps * eps. With fewer than k points in all
+    every value is NaN, which is <= no eps * eps.
+    """
+    coords = dataset.coords
+    out = np.full(len(dataset), np.nan)
+    if k > len(dataset):
+        return out
+    for s in range(0, len(dataset), _TILE):
+        d2 = _axis_d2(coords, coords[s : s + _TILE])
+        d2.partition(k - 1, axis=1)
+        out[s : s + _TILE] = d2[:, k - 1]
+    return out
 
 
 def _query_coords(dataset: Dataset, q) -> np.ndarray:

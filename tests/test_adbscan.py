@@ -3,6 +3,7 @@ removal, stop reasons, and full traces on a hand-built two-density fixture;
 and the eps tuner: pinned results on the built-in scenarios, degenerate and
 split blobs."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from varden.model import (
     LabeledDataset,
     Labeling,
     NOISE,
+    ParamError,
     PointClass,
     STOP_EPS_CAP,
     STOP_K_REACHED,
@@ -201,17 +203,28 @@ def _coheres(labeled, eps, min_pts=10):
     return clustered.size >= 0.9 * labels.size and np.unique(clustered).size == 1
 
 
+# tune_eps_densest(scenario at seed, min_pts=10), recorded when every probe
+# still ran its own scan
+_PINNED = {
+    "two_equal": (
+        0.07913498374929562, 0.07722781275073534, 0.0840020599150866, 0.0883153748045738, 0.07011321725925412,
+    ),
+    "three_varying": (
+        0.09955661858940393, 0.10297041700098047, 0.11101369952219642, 0.09572472932874118, 0.11040428955297407,
+    ),
+    "four_varying": (
+        0.09955661858940393, 0.10297041700098047, 0.11101369952219642, 0.09572472932874118, 0.11040428955297407,
+    ),
+}
+_PINNED_CASES = [(name, seed, eps) for name, floats in _PINNED.items() for seed, eps in enumerate(floats)]
+
+
 class TestTuneEpsDensest:
     @pytest.mark.parametrize(
-        "name, expected",
-        [
-            ("two_equal", 0.07722781275073534),
-            ("three_varying", 0.10297041700098047),
-            ("four_varying", 0.10297041700098047),
-        ],
+        "name, seed, expected", _PINNED_CASES, ids=[f"{name}-{eps}" for name, _, eps in _PINNED_CASES]
     )
-    def test_pinned_on_builtin_scenarios(self, name, expected):
-        labeled = gen_scenario(replace(paper_scenario(name), seed=1))
+    def test_pinned_on_builtin_scenarios(self, name, seed, expected):
+        labeled = gen_scenario(replace(paper_scenario(name), seed=seed))
         assert tune_eps_densest(labeled, min_pts=10) == expected
 
     def test_coincident_points_give_a_valid_eps(self):
@@ -237,3 +250,50 @@ class TestTuneEpsDensest:
         assert DbscanParams(eps, 10).eps == eps
         assert eps * eps == math.inf
         assert _coheres(labeled, eps)
+
+    @pytest.mark.parametrize("bad", [0, -3, 1.5])
+    def test_min_pts_is_checked_before_the_data(self, bad):
+        # the truth has no clusters, which would be a DataError
+        labeled = LabeledDataset(Dataset(np.zeros((5, 2))), np.full(5, NOISE))
+        with pytest.raises(ParamError):
+            tune_eps_densest(labeled, min_pts=bad)
+
+    def test_integral_float_min_pts_is_an_int(self):
+        labeled = gen_scenario(replace(paper_scenario("two_equal"), seed=1))
+        assert tune_eps_densest(labeled, min_pts=3.0) == tune_eps_densest(labeled, min_pts=3)
+
+    @pytest.mark.parametrize(
+        "coords, threshold",
+        [
+            (np.zeros((3000, 2)), 0.0),
+            # two stacks 1 apart: 640k pairs between them, of which one decides
+            (np.repeat([[0.0, 0.0], [1.0, 0.0]], 800, axis=0), 1.0),
+        ],
+        ids=["coincident", "two_stacks"],
+    )
+    def test_stacked_points_stay_in_bounded_memory(self, coords, threshold):
+        eps, peak = _tune_traced(LabeledDataset(Dataset(coords), np.zeros(len(coords))))
+        assert threshold <= eps <= max(1e-9, threshold * (1 + 1e-6))
+        assert peak < 16 * 2**20
+
+    def test_clump_in_another_blob_stays_in_bounded_memory(self):
+        # the densest blob is a 60-point ring; the other blob's 1200 clumped
+        # points lie within its first bracket of each other (720k pairs)
+        rng = np.random.default_rng(0)
+        ring = np.array(_ring(0, 0, 1.0, 60))
+        clump = rng.integers(0, 100, size=(1200, 2)) * 1e-5 + [5.0, 0.0]
+        spread = rng.integers(0, 100, size=(1300, 2)) * 0.5 + [10.0, 0.0]
+        labeled = LabeledDataset(Dataset(np.concatenate([ring, clump, spread])), np.r_[np.zeros(60), np.ones(2500)])
+        eps, peak = _tune_traced(labeled)
+        assert eps == 0.5176385838631932  # what one scan per probe returned
+        assert peak < 16 * 2**20
+
+
+def _tune_traced(labeled):
+    """tune_eps_densest(labeled, 10) and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        eps = tune_eps_densest(labeled, min_pts=10)
+        return eps, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,8 @@
 """Single-scan clustering: hand-worked fixtures, the reachability
 predicates, the classic invariants (order independence of the core
 partition, eps monotonicity of the core set), agreement with a
-breadth-first reference scan, and bounded memory on coincident points."""
+breadth-first reference scan, an eps bracket's labelings equal to the
+scan's, and bounded memory on coincident points."""
 import tracemalloc
 from collections import deque
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from varden.metrics import adjusted_rand_index
 from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
-from varden.neighborhood import region_query_naive
+from varden.neighborhood import build_index, kth_d2, region_query_naive
 from varden.dbscan import (
+    EpsBracket,
     classify_point,
     is_density_connected,
     is_density_reachable,
@@ -240,8 +242,7 @@ def _reference_dbscan(ds, params):
     return labels, classes
 
 
-@st.composite
-def _scan_inputs(draw):
+def _lattice_points(draw):
     """Lattice points (exact eps ties), few sites (heavy duplication), d = 1..3,
     and radii from tiny (eps * eps underflows) to huge (it overflows)."""
     dim = draw(st.integers(1, 3))
@@ -250,11 +251,27 @@ def _scan_inputs(draw):
     step = draw(st.sampled_from([0.25, 0.5, 0.1]))
     scale = draw(st.sampled_from([1.0, 1e-170, 1e150]))
     coords = np.array([sites[i] for i in picks], dtype=float) * step * scale
-    eps = draw(
-        st.sampled_from([step * scale * f for f in (1.0, 2.0, 2**0.5, 1.5, 1e3)] + [1e-170, 1e200])
-    )
-    min_pts = draw(st.integers(1, len(picks) + 2))
-    return Dataset(coords), DbscanParams(eps, min_pts)
+    return Dataset(coords), [step * scale * f for f in (1.0, 2.0, 2**0.5, 1.5, 1e3)] + [1e-170, 1e200]
+
+
+@st.composite
+def _scan_inputs(draw):
+    ds, radii = _lattice_points(draw)
+    eps = draw(st.sampled_from(radii))
+    min_pts = draw(st.integers(1, len(ds) + 2))
+    return ds, DbscanParams(eps, min_pts)
+
+
+@st.composite
+def _bracket_inputs(draw):
+    """Lattice points, a bracket [lo, hi] of their radii (lo = 0 too), and
+    every radius of the bracket, its ends and its midpoint as probes."""
+    ds, radii = _lattice_points(draw)
+    min_pts = draw(st.integers(1, len(ds) + 2))
+    hi = draw(st.sampled_from(radii))
+    lo = draw(st.sampled_from([0.0, 0.5 * hi] + [r for r in radii if r < hi]))
+    probes = sorted({r for r in radii + [lo, 0.5 * (lo + hi), hi] if 0 < r and lo <= r <= hi})
+    return ds, min_pts, lo, hi, probes
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +282,35 @@ def test_matches_breadth_first_reference(case):
     labels, classes = _reference_dbscan(ds, params)
     assert lab.labels.tolist() == labels
     assert lab.classes.tolist() == classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_inputs())
+def test_bracket_matches_run_dbscan(case):
+    ds, min_pts, lo, hi, probes = case
+    index = build_index(ds)
+    bracket = EpsBracket(index, kth_d2(ds, min_pts), lo, hi)
+    for eps in probes:
+        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
+        got = bracket.labeling(eps)
+        assert got.labels.tolist() == lab.labels.tolist()
+        assert got.classes.tolist() == lab.classes.tolist()
+
+
+@pytest.mark.parametrize("min_pts, lo, hi", [(3, 0.25, 1.5), (40, 1.0, 2.0)])
+def test_bracket_matches_run_dbscan_when_it_cuts_its_pairs(min_pts, lo, hi):
+    # 1000 lattice points. At min_pts 3, 30k pairs span 799 points core at lo
+    # and are cut to the closest between components; at 40, 75 points are
+    # core at lo and the 80k pairs kept outgrow the budget and are cut twice
+    rng = np.random.default_rng(min_pts)
+    ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
+    index = build_index(ds)
+    bracket = EpsBracket(index, kth_d2(ds, min_pts), lo, hi)
+    for eps in np.linspace(lo, hi, 7):
+        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
+        got = bracket.labeling(eps)
+        assert got.labels.tolist() == lab.labels.tolist()
+        assert got.classes.tolist() == lab.classes.tolist()
 
 
 @pytest.mark.parametrize("min_pts", [4, 80])

@@ -142,9 +142,9 @@ def _bbox_edge_cases(dim, scale):
 def _tile_neighborhoods(ds, eps):
     """Each point's hits gathered from the tiles, ascending; every point is a row once."""
     hoods = [None] * len(ds)
-    for rows, cols, hit in build_index(ds).tiles(eps):
-        assert hit.shape == (rows.size, cols.size)
-        for r, h in zip(rows, hit):
+    for rows, cols, d2 in build_index(ds).tiles(eps):
+        assert d2.shape == (rows.size, cols.size)
+        for r, h in zip(rows, d2 <= eps * eps):
             assert hoods[r] is None
             hoods[r] = np.sort(cols[h])
     return hoods
