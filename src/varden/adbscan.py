@@ -170,8 +170,8 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     Each bracket [lo, hi] the search visits, at most a factor of two wide,
     scans the neighbor tiles once at hi into a dbscan.EpsBracket, and its
     probes only relabel from the pairs that scan kept. Memory is O(n + kept
-    pairs): coincident stacks fold into the bracket's base forest, and only
-    the closest pair between two of its components is kept.
+    pairs): coincident stacks fold into the bracket's base forest, and kept
+    pairs past a budget are cut to the closest between two of its components.
     """
     min_pts = check_min_pts(min_pts)
     ds = labeled.dataset

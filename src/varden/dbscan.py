@@ -9,8 +9,8 @@ This is the set-wise definition of grid DBSCAN (Gan & Tao, SIGMOD 2015), and
 it gives the same ids as the classic breadth-first scan in index order: that
 scan opens a cluster at the first unvisited core point, which is its
 component's smallest index, and a border point stays with the first cluster
-that reaches it, which is the lowest numbered one. ``EpsBracket`` gives
-the same labeling at any eps of a bracket from one scan at its top.
+that reaches it, which is the lowest numbered one. One ``EpsBracket``
+scan labels every eps of [lo, hi]; run_dbscan uses lo = hi = eps.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .model import (
 )
 from .neighborhood import NeighborIndex, build_index, region_query
 
-_UNION_BUDGET = 1 << 10  # core-core edges buffered between unions
+_UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
 
 
@@ -71,71 +71,20 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None = None) -> Labeling:
     """Cluster the dataset; returns per-point labels and point classes.
 
-    Two passes over the index's neighbor tiles: the first counts each ball
-    and fixes the core set, the second joins core-core neighbors with a
-    union-find and collects each border point's core neighbors. Cluster ids
+    One pass over the index's neighbor tiles counts each ball and fixes the
+    core set; an EpsBracket at lo = hi = eps then joins the core-core
+    neighbors and collects each border point's core neighbors. Cluster ids
     and border ownership follow index order, as in the module docstring.
     """
     validate_dataset(dataset)
-    n = len(dataset)
     if index is None:
         index = build_index(dataset)
-    eps, min_pts = params.eps, params.min_pts
-    e2 = eps * eps
-    degree = np.zeros(n, dtype=np.int64)
+    eps, e2 = params.eps, params.eps * params.eps
+    degree = np.zeros(len(dataset), dtype=np.int64)
     for rows, _, d2 in index.tiles(eps):
         degree[rows] = (d2 <= e2).sum(axis=1)
-    core = degree >= min_pts
-
-    parent = np.arange(n)
-    edges: list[tuple[np.ndarray, np.ndarray]] = []
-    buffered = 0
-    # (border, core neighbor) pairs: a non-core point has fewer than min_pts
-    # neighbors, and no more core neighbors than there are cores
-    slots = int(np.minimum(degree[~core], core.sum()).sum())
-    border_rows, border_cores = np.empty(slots, dtype=np.int64), np.empty(slots, dtype=np.int64)
-    filled = 0
-    for rows, cols, d2 in index.tiles(eps):
-        row_core, col_core = core[rows], core[cols]
-        cores = cols[col_core]
-        hit = d2[:, col_core] <= e2
-        core_rows = rows[row_core]
-        ru, rv = _find(parent, core_rows), _find(parent, cores)
-        # each edge once, from its smaller end, and only while its ends are apart
-        i, j = np.nonzero(hit[row_core] & (core_rows[:, None] < cores) & (ru[:, None] != rv))
-        edges.append((ru[i], rv[j]))
-        buffered += i.size
-        if buffered >= _UNION_BUDGET:
-            _union(parent, *map(np.concatenate, zip(*edges)))
-            edges, buffered = [], 0
-        i, j = np.nonzero(hit[~row_core])
-        border_rows[filled : filled + i.size] = rows[~row_core][i]
-        border_cores[filled : filled + i.size] = cores[j]
-        filled += i.size
-    if buffered:
-        _union(parent, *map(np.concatenate, zip(*edges)))
-    return _labeling(parent, core, border_rows[:filled], border_cores[:filled])
-
-
-def _labeling(parent: np.ndarray, core: np.ndarray, border_rows: np.ndarray, border_cores: np.ndarray) -> Labeling:
-    """Labels and classes from the core points' forest and the (border, core neighbor) pairs.
-
-    Cluster ids go by each component's smallest core index, and a border
-    point takes the smallest id among its core neighbors.
-    """
-    n = core.size
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core_idx = np.flatnonzero(core)
-    labels[core_idx] = np.unique(_find(parent, core_idx), return_inverse=True)[1]
-    border = np.full(n, n, dtype=np.int64)
-    np.minimum.at(border, border_rows, labels[border_cores])
-    reached = border < n
-    labels[reached] = border[reached]
-
-    classes = np.full(n, int(PointClass.NOISE), dtype=np.int8)
-    classes[reached] = int(PointClass.BORDER)
-    classes[core] = int(PointClass.CORE)
-    return Labeling(labels, classes)
+    # a core point's core distance is 0; NaN is <= no eps * eps, even an overflowed one
+    return EpsBracket(index, np.where(degree >= params.min_pts, 0.0, np.nan), eps, eps).labeling(eps)
 
 
 class EpsBracket:
@@ -148,15 +97,17 @@ class EpsBracket:
 
     The scan visits each pair within hi once. A pair that is an edge already
     at lo is one at every eps of the bracket, so it joins a base union-find
-    forest. A pair with neither end core at hi is never an edge nor a border
-    link, and is dropped. Of the rest only the closest pair between two base
-    components (or a component and a point, or two points) is kept, as
-    (i, j, d2): the two sides touch at eps exactly when that pair is within
-    eps, and either end stands for its component. ``labeling(eps)`` joins the
-    kept core-core pairs within eps into a copy of the forest and reads the
-    border links off the rest, with no scan. Memory is O(n + kept pairs): a
-    stack of coincident core points folds into the forest, and stacks near
-    each other keep one pair between them.
+    forest (buffered unions). A pair with neither end core at hi is never an
+    edge nor a border link, and is dropped. The rest are kept as (i, j, d2),
+    and whenever too many have come in they are cut to the closest pair
+    between two base components (or a component and a point, or two points):
+    the two sides touch at eps exactly when that pair is within eps, and
+    either end stands for its component. ``labeling(eps)`` joins the kept
+    core-core pairs within eps into a copy of the forest and reads the border
+    links off the rest, with no scan. Memory is O(n + kept pairs): a stack of
+    coincident core points folds into the forest, and stacks near each other
+    keep one pair between them. run_dbscan labels through the bracket at
+    lo = hi = eps.
     """
 
     __slots__ = ("lo", "_core_d2", "_parent", "_pairs")
@@ -165,29 +116,46 @@ class EpsBracket:
         lo2, hi2 = lo * lo, hi * hi
         core_lo, core_hi = core_d2 <= lo2, core_d2 <= hi2
         parent = np.arange(core_d2.size)
+        edges: list[tuple[np.ndarray, np.ndarray]] = []
         kept: list[tuple[np.ndarray, ...]] = []
-        held = cut = 0
+        buffered = held = cut = 0
         for rows, cols, d2 in index.tiles(hi):
+            # these stay roots, as _union needs, until the buffered edges are joined
             ru, rv = _find(parent, rows), _find(parent, cols)
             # each pair once, from its smaller end, and only while its ends are apart
-            pair = (d2 <= hi2) & (rows[:, None] < cols) & (ru[:, None] != rv)
-            fold = core_lo[rows][:, None] & core_lo[cols] & (d2 <= lo2)
-            i, j = np.nonzero(pair & fold)
-            _union(parent, ru[i], rv[j])
-            i, j = np.nonzero(pair & ~fold & (core_hi[rows][:, None] | core_hi[cols]))
+            k = np.flatnonzero((d2 <= hi2) & (rows[:, None] < cols) & (ru[:, None] != rv))
+            near = d2.ravel()[k] <= lo2
+            i, j = np.divmod(k, cols.size)
+            del k  # as large as i and j; d2 is gathered again only for the pairs kept
+            fold = core_lo[rows][i] & core_lo[cols][j] & near
+            edges.append((ru[i[fold]], rv[j[fold]]))
+            buffered += edges[-1][0].size
+            keep = ~fold & (core_hi[rows][i] | core_hi[cols][j])
+            i, j = i[keep], j[keep]
             kept.append((rows[i], cols[j], d2[i, j]))
             held += i.size
-            if held > _PAIR_BUDGET + 2 * cut:
+            cutting = held > _PAIR_BUDGET + 2 * cut
+            # join the buffer before a cut: fewer components, fewer pairs kept
+            if cutting or buffered >= _UNION_BUDGET:
+                _union(parent, *map(np.concatenate, zip(*edges)))
+                edges, buffered = [], 0
+            if cutting:
                 kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
                 held = cut = kept[0][0].size
+        if buffered:
+            _union(parent, *map(np.concatenate, zip(*edges)))
         self.lo = lo
         self._core_d2 = core_d2
-        self._pairs = _closest_pairs(parent, *map(np.concatenate, zip(*kept)))
+        self._pairs = tuple(map(np.concatenate, zip(*kept)))
         _find(parent, np.arange(parent.size))
         self._parent = parent
 
     def labeling(self, eps: float) -> Labeling:
-        """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi]."""
+        """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi].
+
+        Cluster ids go by each component's smallest core index, and a border
+        point takes the smallest id among its core neighbors.
+        """
         e2 = eps * eps
         core = self._core_d2 <= e2
         i, j, d2 = self._pairs
@@ -197,8 +165,19 @@ class EpsBracket:
         parent = self._parent.copy()
         both = ci & cj
         _union(parent, _find(parent, i[both]), _find(parent, j[both]))
+        n = core.size
+        labels = np.full(n, NOISE, dtype=np.int64)
+        core_idx = np.flatnonzero(core)
+        labels[core_idx] = np.unique(_find(parent, core_idx), return_inverse=True)[1]
         one = ci != cj
-        return _labeling(parent, core, np.where(ci, j, i)[one], np.where(ci, i, j)[one])
+        border = np.full(n, n, dtype=np.int64)
+        np.minimum.at(border, np.where(ci, j, i)[one], labels[np.where(ci, i, j)[one]])
+        reached = border < n
+        labels[reached] = border[reached]
+        classes = np.full(n, int(PointClass.NOISE), dtype=np.int8)
+        classes[reached] = int(PointClass.BORDER)
+        classes[core] = int(PointClass.CORE)
+        return Labeling(labels, classes)
 
 
 def _closest_pairs(parent: np.ndarray, i: np.ndarray, j: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, ...]:

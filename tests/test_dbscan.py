@@ -8,12 +8,13 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varden.metrics import adjusted_rand_index
 from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
 from varden.neighborhood import build_index, kth_d2, region_query_naive
+from varden import dbscan
 from varden.dbscan import (
     EpsBracket,
     classify_point,
@@ -276,6 +277,8 @@ def _bracket_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_scan_inputs())
+# eps * eps overflows: a non-core point's core distance must stay above it
+@example((Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), DbscanParams(1e200, 4)))
 def test_matches_breadth_first_reference(case):
     ds, params = case
     lab = run_dbscan(ds, params)
@@ -291,10 +294,15 @@ def test_bracket_matches_run_dbscan(case):
     index = build_index(ds)
     bracket = EpsBracket(index, kth_d2(ds, min_pts), lo, hi)
     for eps in probes:
-        lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
+        params = DbscanParams(eps, min_pts)
+        # run_dbscan is a bracket too, from degrees rather than core distances
+        lab = run_dbscan(ds, params, index=index)
         got = bracket.labeling(eps)
         assert got.labels.tolist() == lab.labels.tolist()
         assert got.classes.tolist() == lab.classes.tolist()
+        labels, classes = _reference_dbscan(ds, params)
+        assert got.labels.tolist() == labels
+        assert got.classes.tolist() == classes
 
 
 @pytest.mark.parametrize("min_pts, lo, hi", [(3, 0.25, 1.5), (40, 1.0, 2.0)])
@@ -323,6 +331,23 @@ def test_matches_reference_across_union_flushes(min_pts):
     params = DbscanParams(1.5, min_pts)
     lab = run_dbscan(ds, params)
     labels, classes = _reference_dbscan(ds, params)
+    assert lab.labels.tolist() == labels
+    assert lab.classes.tolist() == classes
+
+
+def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
+    # the 532 border points of the min_pts 80 case above link to core points
+    # through 4820 pairs; a budget of 2^8 cuts them seven times mid-scan
+    cuts = []
+    closest_pairs = dbscan._closest_pairs
+    monkeypatch.setattr(dbscan, "_PAIR_BUDGET", 1 << 8)
+    monkeypatch.setattr(dbscan, "_closest_pairs", lambda *a: cuts.append(a[1].size) or closest_pairs(*a))
+    rng = np.random.default_rng(80)
+    ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
+    params = DbscanParams(1.5, 80)
+    lab = run_dbscan(ds, params)
+    labels, classes = _reference_dbscan(ds, params)
+    assert len(cuts) >= 3
     assert lab.labels.tolist() == labels
     assert lab.classes.tolist() == classes
 
