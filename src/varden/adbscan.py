@@ -32,7 +32,7 @@ from .model import (
     STOP_K_REACHED,
     STOP_MAX_ITERS,
     STOP_RESIDUAL,
-    check_min_pts,
+    check_int,
     validate_dataset,
 )
 from .neighborhood import build_index, kth_d2
@@ -165,15 +165,15 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     radius brackets the threshold and bisection narrows it; the returned
     value is the passing endpoint of the final bracket (relative width 1e-6).
 
-    Every point's min_pts-th smallest d2 comes from one blocked sweep over
-    all pairs, and a point is core at eps exactly when it is <= eps * eps.
+    Every point's min_pts-th smallest d2 comes from kth_d2 at r = 2^512,
+    uncapped, and a point is core at eps exactly when it is <= eps * eps.
     Each bracket [lo, hi] the search visits, at most a factor of two wide,
     scans the neighbor tiles once at hi into a dbscan.EpsBracket, and its
     probes only relabel from the pairs that scan kept. Memory is O(n + kept
     pairs): coincident stacks fold into the bracket's base forest, and kept
     pairs past a budget are cut to the closest between two of its components.
     """
-    min_pts = check_min_pts(min_pts)
+    min_pts = check_int(min_pts, "min_pts", 1)
     ds = labeled.dataset
     truth = labeled.truth
     members = np.flatnonzero(truth != NOISE)
@@ -182,14 +182,14 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     if len(ds) < min_pts:
         raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
 
-    core_d2 = kth_d2(ds, min_pts)
+    index = build_index(ds)
+    core_d2 = kth_d2(index, min_pts, _SQUARE_OVERFLOWS)
     radii = np.sqrt(core_d2[members])
     member_blobs = truth[members]
     blob_ids = np.unique(member_blobs)
     medians = [float(np.median(radii[member_blobs == b])) for b in blob_ids]
     densest = int(np.argmin(medians))  # argmin takes the first minimum: lowest blob id
     target = np.flatnonzero(truth == blob_ids[densest])
-    index = build_index(ds)
 
     def coheres(lab: Labeling) -> bool:
         t = lab.labels[target]

@@ -26,7 +26,7 @@ from .model import (
     PointClass,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, build_index, region_query
+from .neighborhood import NeighborIndex, build_index, kth_d2, region_query
 
 _UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
@@ -71,26 +71,22 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None = None) -> Labeling:
     """Cluster the dataset; returns per-point labels and point classes.
 
-    One pass over the index's neighbor tiles counts each ball and fixes the
-    core set; an EpsBracket at lo = hi = eps then joins the core-core
-    neighbors and collects each border point's core neighbors. Cluster ids
-    and border ownership follow index order, as in the module docstring.
+    kth_d2 at r = eps fixes the core set; an EpsBracket at lo = hi = eps then
+    joins the core-core neighbors and collects each border point's core
+    neighbors. Cluster ids and border ownership follow index order, as in
+    the module docstring.
     """
     validate_dataset(dataset)
     if index is None:
         index = build_index(dataset)
-    eps, e2 = params.eps, params.eps * params.eps
-    degree = np.zeros(len(dataset), dtype=np.int64)
-    for rows, _, d2 in index.tiles(eps):
-        degree[rows] = (d2 <= e2).sum(axis=1)
-    # a core point's core distance is 0; NaN is <= no eps * eps, even an overflowed one
-    return EpsBracket(index, np.where(degree >= params.min_pts, 0.0, np.nan), eps, eps).labeling(eps)
+    eps = params.eps
+    return EpsBracket(index, kth_d2(index, params.min_pts, eps), eps, eps).labeling(eps)
 
 
 class EpsBracket:
     """DBSCAN for one min_pts at every eps in [lo, hi], from one scan of the tiles at hi.
 
-    core_d2[p] is p's min_pts-th smallest d2, itself included, so p is core at
+    core_d2 is kth_d2(index, min_pts, r) for any r >= hi, so p is core at
     eps exactly when core_d2[p] <= eps * eps, and a pair is a core-core edge
     exactly when its mutual reachability max(d2, core_d2[i], core_d2[j])
     (Campello, Moulavi & Sander, PAKDD 2013) is <= eps * eps.

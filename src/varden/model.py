@@ -154,11 +154,17 @@ def validate_dataset(ds: Dataset) -> None:
         raise DataError(f"non-finite coordinate at point {bad}")
 
 
-def check_min_pts(min_pts) -> int:
-    """min_pts as an int (3.0 is 3); ParamError unless it is an integer >= 1."""
-    if int(min_pts) != min_pts or int(min_pts) < 1:
-        raise ParamError(f"min_pts must be an integer >= 1, got {min_pts!r}")
-    return int(min_pts)
+def check_int(value, name: str, low: int, high: int | None = None, error: type[VardenError] = ParamError) -> int:
+    """value as an int (3.0 is 3); error, never a raw ValueError or
+    OverflowError, unless it is an integer >= low (and < high when given)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < low or (high is not None and n >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ class DbscanParams:
         if not math.isfinite(eps) or eps <= 0.0:
             raise ParamError(f"eps must be finite and > 0, got {self.eps!r}")
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "min_pts", check_min_pts(self.min_pts))
+        object.__setattr__(self, "min_pts", check_int(self.min_pts, "min_pts", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +266,7 @@ class AdbscanParams:
     min_pts_step: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or int(self.k) < 1:
-            raise ParamError(f"k must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", check_int(self.k, "k", 1))
         eps0 = float(self.eps0)
         if not math.isfinite(eps0) or eps0 <= 0.0:
             raise ParamError(f"eps0 must be finite and > 0, got {self.eps0!r}")
@@ -292,9 +296,7 @@ class AdbscanParams:
             if not math.isfinite(cap) or cap <= 0.0:
                 raise ParamError(f"eps_cap must be finite and > 0, got {self.eps_cap!r}")
             object.__setattr__(self, "eps_cap", cap)
-        if int(self.max_iters) != self.max_iters or int(self.max_iters) < 1:
-            raise ParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters", 1))
 
 
 @dataclass(frozen=True)

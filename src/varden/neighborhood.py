@@ -4,8 +4,8 @@ A sweep index (``build_index`` / ``region_query``, or every neighborhood at
 once through ``NeighborIndex.tiles``) and a pure-Python scan
 (``region_query_naive``) answer the closed-ball query |q - p| <= eps. Both
 accumulate d2 axis by axis in the same order and compare it with the same
-eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``
-gives each point's k-th smallest d2 with the same arithmetic.
+eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``,
+every core decision's source, reads each k-th smallest d2 off the tiles.
 """
 from __future__ import annotations
 
@@ -148,22 +148,22 @@ def dataset_diameter(dataset: Dataset) -> float:
     return math.sqrt(best)
 
 
-def kth_d2(dataset: Dataset, k: int) -> np.ndarray:
-    """Each point's k-th smallest d2 to the points, itself included.
+def kth_d2(index: NeighborIndex, k: int, r: float) -> np.ndarray:
+    """Each point's k-th smallest d2, itself included, where it is <= r * r; NaN elsewhere.
 
-    Blocks of rows against every point, with d2 accumulated axis by axis as
-    in the queries, so a point's closed eps-ball holds at least k points
-    exactly when its value is <= eps * eps. With fewer than k points in all
-    every value is NaN, which is <= no eps * eps.
+    Read off the tiles at r, whose candidates hold every row's r-ball, so a
+    defined value has the queries' bits, and for eps <= r a closed eps-ball
+    holds at least k points exactly when its value is <= eps * eps. NaN (the
+    r-ball holds fewer than k points; every ball once k > n) is <= no
+    eps * eps, even an overflowed one. From r = 2^512, r * r is inf: no cap.
     """
-    coords = dataset.coords
-    out = np.full(len(dataset), np.nan)
-    if k > len(dataset):
-        return out
-    for s in range(0, len(dataset), _TILE):
-        d2 = _axis_d2(coords, coords[s : s + _TILE])
-        d2.partition(k - 1, axis=1)
-        out[s : s + _TILE] = d2[:, k - 1]
+    r = _check_eps(r)
+    r2 = r * r
+    out = np.full(len(index.dataset), np.nan)
+    for rows, _, d2 in index.tiles(r):
+        if d2.shape[1] >= k:
+            d2.partition(k - 1, axis=1)
+            out[rows] = np.where(d2[:, k - 1] <= r2, d2[:, k - 1], np.nan)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LabeledDataset, NOISE, Point, VardenError
+from .model import Dataset, LabeledDataset, NOISE, Point, VardenError, check_int
 from .rng import SplitMix64
 
 
@@ -46,9 +46,7 @@ class BlobSpec:
         if not math.isfinite(sd) or sd <= 0.0:
             raise InvalidSpec(f"std_dev must be finite and > 0, got {self.std_dev!r}")
         object.__setattr__(self, "std_dev", sd)
-        if int(self.count) != self.count or int(self.count) < 1:
-            raise InvalidSpec(f"count must be an integer >= 1, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", check_int(self.count, "count", 1, error=InvalidSpec))
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,7 @@ class ScenarioSpec:
         for b in blobs:
             if len(b.center) != dim:
                 raise InvalidSpec("blob centers have mixed dimensions")
-        if int(self.noise_count) != self.noise_count or int(self.noise_count) < 0:
-            raise InvalidSpec(f"noise_count must be an integer >= 0, got {self.noise_count!r}")
-        object.__setattr__(self, "noise_count", int(self.noise_count))
+        object.__setattr__(self, "noise_count", check_int(self.noise_count, "noise_count", 0, error=InvalidSpec))
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.noise_bounds)
         if len(bounds) != dim:
             raise InvalidSpec(f"noise_bounds cover {len(bounds)} axes, blobs are {dim}-d")
@@ -87,9 +83,7 @@ class ScenarioSpec:
                 if not lo <= c <= hi:
                     raise InvalidSpec(f"blob center {tuple(b.center)} outside noise_bounds")
         object.__setattr__(self, "noise_bounds", bounds)
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidSpec(f"seed must fit in 64 bits, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2**64, InvalidSpec))
 
     @property
     def dim(self) -> int:

@@ -251,7 +251,7 @@ class TestTuneEpsDensest:
         assert eps * eps == math.inf
         assert _coheres(labeled, eps)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5])
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, math.nan, math.inf])
     def test_min_pts_is_checked_before_the_data(self, bad):
         # the truth has no clusters, which would be a DataError
         labeled = LabeledDataset(Dataset(np.zeros((5, 2))), np.full(5, NOISE))

@@ -292,10 +292,10 @@ def test_matches_breadth_first_reference(case):
 def test_bracket_matches_run_dbscan(case):
     ds, min_pts, lo, hi, probes = case
     index = build_index(ds)
-    bracket = EpsBracket(index, kth_d2(ds, min_pts), lo, hi)
+    bracket = EpsBracket(index, kth_d2(index, min_pts, 2.0**512), lo, hi)
     for eps in probes:
         params = DbscanParams(eps, min_pts)
-        # run_dbscan is a bracket too, from degrees rather than core distances
+        # run_dbscan is a bracket too, from core distances capped at eps rather than uncapped ones
         lab = run_dbscan(ds, params, index=index)
         got = bracket.labeling(eps)
         assert got.labels.tolist() == lab.labels.tolist()
@@ -313,7 +313,7 @@ def test_bracket_matches_run_dbscan_when_it_cuts_its_pairs(min_pts, lo, hi):
     rng = np.random.default_rng(min_pts)
     ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
     index = build_index(ds)
-    bracket = EpsBracket(index, kth_d2(ds, min_pts), lo, hi)
+    bracket = EpsBracket(index, kth_d2(index, min_pts, 2.0**512), lo, hi)
     for eps in np.linspace(lo, hi, 7):
         lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
         got = bracket.labeling(eps)

@@ -95,7 +95,7 @@ class TestDbscanParams:
         with pytest.raises(ParamError):
             DbscanParams(eps, 10)
 
-    @pytest.mark.parametrize("mp", [0, -3, 2.5])
+    @pytest.mark.parametrize("mp", [0, -3, 2.5, float("nan"), float("inf")])
     def test_bad_min_pts(self, mp):
         with pytest.raises(ParamError):
             DbscanParams(1.0, mp)
@@ -127,6 +127,10 @@ class TestAdbscanParams:
             {"k": 1, "residual_fraction": 1.0},
             {"k": 1, "eps_cap": 0.0},
             {"k": 1, "max_iters": 0},
+            {"k": float("nan")},
+            {"k": float("inf")},
+            {"k": 1, "max_iters": float("nan")},
+            {"k": 1, "max_iters": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):

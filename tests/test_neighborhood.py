@@ -9,6 +9,7 @@ from varden.model import DataError, Dataset, ParamError
 from varden.neighborhood import (
     build_index,
     dataset_diameter,
+    kth_d2,
     region_query,
     region_query_naive,
 )
@@ -139,6 +140,16 @@ def _bbox_edge_cases(dim, scale):
             yield Dataset(np.array(pts)[rng.permutation(len(pts))]), eps
 
 
+def _tiny_and_huge_lines():
+    """Points whose d2 underflows or overflows: two 80-point lines and a 5-point mix."""
+    tiny = np.zeros((80, 2))
+    tiny[:, 0] = np.arange(80) * 1e-163
+    huge = np.zeros((80, 2))
+    huge[:, 0] = np.linspace(-1e300, 1e300, 80)
+    mixed = np.array([[0.0, 0.0], [1e-163, 0.0], [0.0, -3e-160], [1e300, 0.0], [-1e300, 5.0]])
+    return [Dataset(c) for c in (tiny, huge, mixed)]
+
+
 def _tile_neighborhoods(ds, eps):
     """Each point's hits gathered from the tiles, ascending; every point is a row once."""
     hoods = [None] * len(ds)
@@ -199,20 +210,78 @@ class TestTiles:
         # eps * eps is subnormal, zero or infinite, and the naive scan's d2
         # rounds alike for points well beyond eps; on the 80-point lines
         # those points lie in other tiles
-        tiny = np.zeros((80, 2))
-        tiny[:, 0] = np.arange(80) * 1e-163
-        huge = np.zeros((80, 2))
-        huge[:, 0] = np.linspace(-1e300, 1e300, 80)
-        mixed = np.array([[0.0, 0.0], [1e-163, 0.0], [0.0, -3e-160], [1e300, 0.0], [-1e300, 5.0]])
-        for coords in (tiny, huge, mixed):
+        for ds in _tiny_and_huge_lines():
             for eps in (1e-170, 1e-158, 1e155, 1e200):
-                _assert_tiles_match_naive(Dataset(coords), eps)
+                _assert_tiles_match_naive(ds, eps)
 
     def test_eps_validation(self, grid_ds):
         idx = build_index(grid_ds)
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ParamError):
                 next(idx.tiles(bad))
+
+
+def _sorted_d2(ds):
+    """Each point's d2 to every point, itself included, ascending; d2 is
+    accumulated axis by axis in pure Python, as the naive scan does."""
+    coords = ds.coords.tolist()
+    rows = []
+    for q in coords:
+        row = []
+        for p in coords:
+            d2 = 0.0
+            for a, b in zip(p, q):
+                diff = a - b
+                d2 += diff * diff
+            row.append(d2)
+        rows.append(sorted(row))
+    return rows
+
+
+def _assert_kth_d2_matches_reference(ds, radii):
+    rows = _sorted_d2(ds)
+    idx = build_index(ds)
+    n = len(ds)
+    for k in sorted({1, n // 2 + 1, n, n + 1}):
+        kth = np.array([row[k - 1] if k <= n else math.nan for row in rows])
+        for r in radii:
+            np.testing.assert_array_equal(kth_d2(idx, k, r), np.where(kth <= r * r, kth, math.nan))
+        # r * r is inf: no value is capped, and each is defined up to k = n
+        uncapped = kth_d2(idx, k, 2.0**512)
+        np.testing.assert_array_equal(uncapped, kth)
+        assert np.isnan(uncapped).any() == (k > n)
+
+
+class TestKthD2:
+    """The k-th smallest d2, self included, where it is <= r * r and NaN elsewhere."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_slab_edges(self, dim, scale):
+        for ds, eps in _slab_edge_cases(dim, scale):
+            _assert_kth_d2_matches_reference(ds, [eps])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_second_axis_bounding_box_edges(self, dim):
+        for ds, eps in _bbox_edge_cases(dim, 1.0):
+            _assert_kth_d2_matches_reference(ds, [eps])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_lattice(self, dim):
+        # ties at every k, and pairs at exactly r
+        rng = np.random.default_rng(dim)
+        ds = Dataset(rng.integers(0, 12, size=(300, dim)) * 0.25)
+        _assert_kth_d2_matches_reference(ds, [0.25, 1.0])
+
+    def test_r_squared_underflows_or_overflows(self):
+        for ds in _tiny_and_huge_lines():
+            _assert_kth_d2_matches_reference(ds, [1e-170, 1e200])
+
+    def test_r_validation(self, grid_ds):
+        idx = build_index(grid_ds)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParamError):
+                kth_d2(idx, 1, bad)
 
 
 def test_matches_naive_when_eps_squared_underflows_or_overflows():

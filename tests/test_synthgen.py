@@ -119,9 +119,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             BlobSpec(Point((0.0, 0.0)), sd, 5)
 
-    def test_bad_count(self):
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("count", 0),
+            ("count", math.nan),
+            ("count", math.inf),
+            ("noise", math.nan),
+            ("noise", math.inf),
+            ("seed", math.nan),
+            ("seed", math.inf),
+            ("seed", 2**64),
+        ],
+    )
+    def test_bad_count(self, field, bad):
+        # counts and seeds that int() cannot take or would change are InvalidSpec too
         with pytest.raises(InvalidSpec):
-            BlobSpec(Point((0.0, 0.0)), 1.0, 0)
+            _single_blob(**{field: bad})
 
     def test_inverted_bounds(self):
         with pytest.raises(InvalidSpec, match="bound"):
