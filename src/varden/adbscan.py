@@ -165,13 +165,14 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     radius brackets the threshold and bisection narrows it; the returned
     value is the passing endpoint of the final bracket (relative width 1e-6).
 
-    Every point's min_pts-th smallest d2 comes from kth_d2 at r = 2^512,
-    uncapped, and a point is core at eps exactly when it is <= eps * eps.
-    Each bracket [lo, hi] the search visits, at most a factor of two wide,
-    scans the neighbor tiles once at hi into a dbscan.EpsBracket, and its
-    probes only relabel from the pairs that scan kept. Memory is O(n + kept
-    pairs): coincident stacks fold into the bracket's base forest, and kept
-    pairs past a budget are cut to the closest between two of its components.
+    The blob medians read every point's min_pts-th smallest d2 from kth_d2
+    at r = 2^512, uncapped. Each bracket [lo, hi] the search visits, at most
+    a factor of two wide, sweeps the neighbor tiles once at hi into a
+    dbscan.EpsBracket, which reads its own core distances (capped at hi) off
+    those tiles; its probes only relabel from the pairs that sweep kept.
+    Memory is O(n + kept pairs + one tile): coincident stacks fold into the
+    bracket's base forest, and kept pairs past a budget are cut to the
+    closest between two of its components.
     """
     min_pts = check_int(min_pts, "min_pts", 1)
     ds = labeled.dataset
@@ -206,14 +207,14 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     # starts at hi / 2, not 0, so that pairs already core-core there fold
     # into its forest; at 0 only coincident stacks would.
     lo, hi = 0.0, min(max(medians[densest], 1e-9), _SQUARE_OVERFLOWS)
-    bracket = EpsBracket(index, core_d2, 0.5 * hi, hi)
+    bracket = EpsBracket(index, min_pts, 0.5 * hi, hi)
     while not coheres(bracket.labeling(hi)):
         lo, hi = hi, 2.0 * hi
-        bracket = EpsBracket(index, core_d2, lo, hi)
+        bracket = EpsBracket(index, min_pts, lo, hi)
     while hi - lo > max(1e-9, _REL_TOL * hi):
         mid = 0.5 * (lo + hi)
         if mid < bracket.lo:  # lo is still 0, and the blob cohered at every probe so far
-            bracket = EpsBracket(index, core_d2, mid, hi)
+            bracket = EpsBracket(index, min_pts, mid, hi)
         if coheres(bracket.labeling(mid)):
             hi = mid
         else:

@@ -29,6 +29,7 @@ NOISE_TOKEN = "noise"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_BLOCK = 256  # rows formatted per write
 
 
 class FileNotFound(DataError):
@@ -63,25 +64,27 @@ def read_csv(path) -> Dataset | LabeledDataset:
     The truth column takes an integer cluster id, -1, or the token `noise`.
     Four-column files written by write_csv also load: the cluster column
     becomes the truth channel and the class column is ignored. Returns a
-    plain Dataset when no truth column is present.
+    plain Dataset when no truth column is present. A UTF-8 byte order mark
+    is skipped. Errors name the first bad field in file order.
     """
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileNotFound(f"cannot read {path}: {exc}") from None
 
-    rows: list[tuple[float, float]] = []
+    values: list[float] = []  # x, y of every data row so far, flat
     truth: list[int] = []
     ncols: int | None = None
-    saw_truth = False
+    header = saw_truth = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if lineno == 1 and not _is_number(fields[0]):
-            continue  # header row
+            header = True
+            continue
         if ncols is None:
             ncols = len(fields)
             if ncols not in (2, 3, 4):
@@ -91,15 +94,28 @@ def read_csv(path) -> Dataset | LabeledDataset:
                 )
             saw_truth = ncols >= 3
         elif len(fields) != ncols:
+            _check_finite(values, text, header)
             raise DimensionMismatch(f"line {lineno}: {len(fields)} fields, expected {ncols}")
-        x = _parse_float(fields[0], lineno, 1)
-        y = _parse_float(fields[1], lineno, 2)
-        rows.append((x, y))
+        try:
+            values.append(float(fields[0]))  # float() strips whitespace as str.strip() does
+            values.append(float(fields[1]))
+        except ValueError:
+            col = len(values) % 2 + 1
+            _check_finite(values, text, header)
+            raise ParseError(lineno, col, f"not a number: {fields[col - 1].strip()!r}") from None
         if saw_truth:
-            truth.append(_parse_truth(fields[2], lineno, 3))
-    if not rows:
+            t = _parse_truth(fields[2].strip())
+            if t is None:
+                _check_finite(values, text, header)
+                raise ParseError(
+                    lineno, 3, f"expected a cluster id or {NOISE_TOKEN!r}, got {fields[2].strip()!r}"
+                )
+            truth.append(t)
+    if not values:
         raise ParseError(1, 1, "no data rows")
-    ds = Dataset(np.asarray(rows, dtype=np.float64))
+    coords = np.array(values, dtype=np.float64).reshape(-1, 2)
+    _check_finite(coords, text, header)
+    ds = Dataset(coords)
     if saw_truth:
         return LabeledDataset(ds, np.asarray(truth, dtype=np.int64))
     return ds
@@ -111,27 +127,33 @@ def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
         raise DataError(f"labeling covers {len(labeling)} points, dataset has {len(dataset)}")
     if dataset.dim != 2:
         raise DataError(f"CSV schema is 2-d, dataset is {dataset.dim}-d")
-    lines = ["x,y,cluster,class"]
-    coords = dataset.coords
-    for i in range(len(dataset)):
-        cls = PointClass(int(labeling.classes[i])).token
-        lines.append(
-            f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},{int(labeling.labels[i])},{cls}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    classes = labeling.classes
+    bad = classes[(classes < 0) | (classes >= len(PointClass))]
+    if bad.size:
+        PointClass(int(bad[0]))  # raises the ValueError the enum gives for a bad class code
+    tokens = tuple(c.token for c in PointClass)
+    coords, labels = dataset.coords, labeling.labels
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("x,y,cluster,class\n")
+        for s in range(0, len(dataset), _BLOCK):
+            b = slice(s, s + _BLOCK)
+            xs, ys = coords[b].T.tolist()
+            rows = zip(xs, ys, labels[b].tolist(), classes[b].tolist())
+            out.write("".join(f"{x!r},{y!r},{lab},{tokens[c]}\n" for x, y, lab, c in rows))
 
 
 def write_dataset_csv(d: LabeledDataset, path) -> None:
     """Write a generated dataset with truth: `x,y,label`, noise as a token."""
     if d.dataset.dim != 2:
         raise DataError(f"CSV schema is 2-d, dataset is {d.dataset.dim}-d")
-    lines = ["x,y,label"]
-    coords = d.dataset.coords
-    for i in range(len(d)):
-        t = int(d.truth[i])
-        token = NOISE_TOKEN if t == NOISE else str(t)
-        lines.append(f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},{token}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    coords, truth = d.dataset.coords, d.truth
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("x,y,label\n")
+        for s in range(0, len(d), _BLOCK):
+            b = slice(s, s + _BLOCK)
+            xs, ys = coords[b].T.tolist()
+            rows = zip(xs, ys, truth[b].tolist())
+            out.write("".join(f"{x!r},{y!r},{NOISE_TOKEN if t == NOISE else t}\n" for x, y, t in rows))
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -145,24 +167,27 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _parse_float(s: str, line: int, col: int) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise ParseError(line, col, f"not a number: {s!r}") from None
-    if not np.isfinite(v):
-        raise ParseError(line, col, f"non-finite coordinate: {s!r}")
-    return v
+def _check_finite(values, text: str, header: bool) -> None:
+    """Raise a ParseError at the first non-finite value among values: the
+    x, y of text's data rows, flat, in order (the last row may lack its y)."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=np.float64).ravel()))
+    if bad.size:
+        row, col = divmod(int(bad[0]), 2)
+        # data rows are the nonblank lines but a header, which can only be the first
+        data = [(i, line) for i, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
+        lineno, line = data[header + row]
+        raise ParseError(lineno, col + 1, f"non-finite coordinate: {line.split(',')[col].strip()!r}")
 
 
-def _parse_truth(s: str, line: int, col: int) -> int:
+def _parse_truth(s: str) -> int | None:
+    """The truth id s names, or None when it is not a cluster id or the noise token."""
     if s == NOISE_TOKEN:
         return NOISE
     if _INT_RE.match(s):
         v = int(s)
         if v >= 0 or v == NOISE:
             return v
-    raise ParseError(line, col, f"expected a cluster id or {NOISE_TOKEN!r}, got {s!r}")
+    return None
 
 
 @dataclass(frozen=True)

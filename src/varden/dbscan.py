@@ -10,7 +10,8 @@ it gives the same ids as the classic breadth-first scan in index order: that
 scan opens a cluster at the first unvisited core point, which is its
 component's smallest index, and a border point stays with the first cluster
 that reaches it, which is the lowest numbered one. One ``EpsBracket``
-scan labels every eps of [lo, hi]; run_dbscan uses lo = hi = eps.
+sweep of the neighbor tiles fixes the core set and labels every eps of
+[lo, hi]; run_dbscan uses lo = hi = eps.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .model import (
     PointClass,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, build_index, kth_d2, region_query
+from .neighborhood import NeighborIndex, build_index, region_query
 
 _UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
@@ -71,62 +72,94 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None = None) -> Labeling:
     """Cluster the dataset; returns per-point labels and point classes.
 
-    kth_d2 at r = eps fixes the core set; an EpsBracket at lo = hi = eps then
-    joins the core-core neighbors and collects each border point's core
-    neighbors. Cluster ids and border ownership follow index order, as in
-    the module docstring.
+    One EpsBracket at lo = hi = eps, from one sweep of the tiles at eps: it
+    fixes the core set, joins the core-core neighbors and collects each
+    border point's core neighbors. Cluster ids and border ownership follow
+    index order, as in the module docstring.
     """
     validate_dataset(dataset)
     if index is None:
         index = build_index(dataset)
     eps = params.eps
-    return EpsBracket(index, kth_d2(index, params.min_pts, eps), eps, eps).labeling(eps)
+    return EpsBracket(index, params.min_pts, eps, eps).labeling(eps)
 
 
 class EpsBracket:
-    """DBSCAN for one min_pts at every eps in [lo, hi], from one scan of the tiles at hi.
+    """DBSCAN for one min_pts at every eps in [lo, hi], from one sweep of the tiles at hi.
 
-    core_d2 is kth_d2(index, min_pts, r) for any r >= hi, so p is core at
-    eps exactly when core_d2[p] <= eps * eps, and a pair is a core-core edge
-    exactly when its mutual reachability max(d2, core_d2[i], core_d2[j])
-    (Campello, Moulavi & Sander, PAKDD 2013) is <= eps * eps.
+    core_d2 holds each point's min_pts-th smallest d2 (itself included) where
+    it is <= hi * hi, NaN elsewhere: the bits of kth_d2(index, min_pts, hi),
+    read off the same tiles as the pairs. p is core at eps exactly when
+    core_d2[p] <= eps * eps, and a pair is a core-core edge exactly when its
+    mutual reachability max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi &
+    Sander, PAKDD 2013) is <= eps * eps.
 
-    The scan visits each pair within hi once. A pair that is an edge already
-    at lo is one at every eps of the bracket, so it joins a base union-find
-    forest (buffered unions). A pair with neither end core at hi is never an
-    edge nor a border link, and is dropped. The rest are kept as (i, j, d2),
-    and whenever too many have come in they are cut to the closest pair
-    between two base components (or a component and a point, or two points):
-    the two sides touch at eps exactly when that pair is within eps, and
-    either end stands for its component. ``labeling(eps)`` joins the kept
-    core-core pairs within eps into a copy of the forest and reads the border
-    links off the rest, with no scan. Memory is O(n + kept pairs): a stack of
-    coincident core points folds into the forest, and stacks near each other
-    keep one pair between them. run_dbscan labels through the bracket at
-    lo = hi = eps.
+    A tile fixes its rows' core distances, so each pair within hi is decided
+    once, in the tile of whichever end is swept later (within one tile, at
+    the end that comes later in it), when both ends' are known. A pair that
+    is an edge already at lo is one at every eps of the bracket, so it joins
+    a base union-find forest (buffered unions). Before that, each row core
+    at lo takes one such edge into an earlier tile as its witness, and its
+    pairs into the witness's component go unread: a point that meets a
+    joined stack joins it through one edge, not one per stack point. A pair
+    with neither end core at hi is never an edge nor a border link, and is
+    dropped. The rest are kept as (i, j, d2), and whenever too many have
+    come in they are cut to the closest pair between two base components (or
+    a component and a point, or two points): the two sides touch at eps
+    exactly when that pair is within eps, and either end stands for its
+    component. ``labeling(eps)`` joins the kept core-core pairs within eps
+    into a copy of the forest and reads the border links off the rest, with
+    no scan. Memory is O(n + kept pairs + one tile). run_dbscan labels
+    through the bracket at lo = hi = eps.
     """
 
-    __slots__ = ("lo", "_core_d2", "_parent", "_pairs")
+    __slots__ = ("lo", "core_d2", "_parent", "_pairs")
 
-    def __init__(self, index: NeighborIndex, core_d2: np.ndarray, lo: float, hi: float) -> None:
+    def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
-        core_lo, core_hi = core_d2 <= lo2, core_d2 <= hi2
-        parent = np.arange(core_d2.size)
+        n = len(index.dataset)
+        core_d2 = np.full(n, np.nan)
+        parent = np.arange(n)
+        lead = np.arange(n)  # p, or the root that p's witness edge joins it to
+        swept = np.full(n, n)  # each point's position in the sweep; n until its tile comes
+        done = 0
         edges: list[tuple[np.ndarray, np.ndarray]] = []
         kept: list[tuple[np.ndarray, ...]] = []
         buffered = held = cut = 0
         for rows, cols, d2 in index.tiles(hi):
+            if cols.size >= min_pts:
+                # a copy, not a view that would hold the whole partitioned tile
+                kth = np.partition(d2, min_pts - 1, axis=1)[:, min_pts - 1].copy()
+                core_d2[rows] = np.where(kth <= hi2, kth, np.nan)
+            core_rows, core_cols = core_d2[rows], core_d2[cols]
+            first, done = done, done + rows.size
+            pos = np.arange(first, done)
+            swept[rows] = pos
+            at = swept[cols]
+            core_lo = core_cols <= lo2
+            near = d2 <= lo2
             # these stay roots, as _union needs, until the buffered edges are joined
-            ru, rv = _find(parent, rows), _find(parent, cols)
-            # each pair once, from its smaller end, and only while its ends are apart
-            k = np.flatnonzero((d2 <= hi2) & (rows[:, None] < cols) & (ru[:, None] != rv))
-            near = d2.ravel()[k] <= lo2
+            rv = _find(parent, lead[cols])
+            # a row's witness: its first edge at lo into an earlier tile
+            reach = near & (core_lo & (at < first))
+            w = reach.argmax(axis=1)
+            has = np.flatnonzero((core_rows <= lo2) & reach[np.arange(rows.size), w])
+            if has.size:
+                wit = rv[w[has]]
+                lead[rows[has]] = wit
+                edges.append((rows[has], wit))
+                buffered += has.size
+            # this tile's rows are fresh roots, or stand for their witnesses' roots
+            ru = lead[rows]
+            rv = np.where(at < first, rv, lead[cols])
+            # each pair once, from its later end, and only while its ends are apart
+            k = np.flatnonzero((d2 <= hi2) & (at < pos[:, None]) & (ru[:, None] != rv))
             i, j = np.divmod(k, cols.size)
             del k  # as large as i and j; d2 is gathered again only for the pairs kept
-            fold = core_lo[rows][i] & core_lo[cols][j] & near
+            fold = core_lo[j] & near[i, j] & (core_rows[i] <= lo2)
             edges.append((ru[i[fold]], rv[j[fold]]))
             buffered += edges[-1][0].size
-            keep = ~fold & (core_hi[rows][i] | core_hi[cols][j])
+            keep = ~fold & ((core_rows[i] <= hi2) | (core_cols[j] <= hi2))
             i, j = i[keep], j[keep]
             kept.append((rows[i], cols[j], d2[i, j]))
             held += i.size
@@ -141,7 +174,7 @@ class EpsBracket:
         if buffered:
             _union(parent, *map(np.concatenate, zip(*edges)))
         self.lo = lo
-        self._core_d2 = core_d2
+        self.core_d2 = core_d2
         self._pairs = tuple(map(np.concatenate, zip(*kept)))
         _find(parent, np.arange(parent.size))
         self._parent = parent
@@ -153,7 +186,7 @@ class EpsBracket:
         point takes the smallest id among its core neighbors.
         """
         e2 = eps * eps
-        core = self._core_d2 <= e2
+        core = self.core_d2 <= e2
         i, j, d2 = self._pairs
         near = d2 <= e2
         i, j = i[near], j[near]

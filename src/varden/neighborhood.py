@@ -4,8 +4,9 @@ A sweep index (``build_index`` / ``region_query``, or every neighborhood at
 once through ``NeighborIndex.tiles``) and a pure-Python scan
 (``region_query_naive``) answer the closed-ball query |q - p| <= eps. Both
 accumulate d2 axis by axis in the same order and compare it with the same
-eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``,
-every core decision's source, reads each k-th smallest d2 off the tiles.
+eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``
+reads each k-th smallest d2 off the tiles; dbscan.EpsBracket reads the same
+values inside its own sweep, so one sweep both fixes the core set and joins.
 """
 from __future__ import annotations
 
@@ -156,6 +157,8 @@ def kth_d2(index: NeighborIndex, k: int, r: float) -> np.ndarray:
     holds at least k points exactly when its value is <= eps * eps. NaN (the
     r-ball holds fewer than k points; every ball once k > n) is <= no
     eps * eps, even an overflowed one. From r = 2^512, r * r is inf: no cap.
+    dbscan.EpsBracket computes the same bits inline, per tile of its own
+    sweep; this sweep serves the tuner's uncapped blob medians.
     """
     r = _check_eps(r)
     r2 = r * r

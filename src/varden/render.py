@@ -1,13 +1,15 @@
 """Deterministic SVG scatter plots of 2-D clusterings.
 
-No plotting library: the file is assembled line by line so identical inputs
-always give identical bytes. Clusters cycle through a fixed 12-color
-palette, noise is gray, core points draw at full radius and border/noise
-points at 70%, and a legend lists cluster sizes.
+No plotting library: the file is written line by line in a fixed order, so
+identical inputs always give identical bytes. Clusters cycle through a
+fixed 12-color palette, noise is gray, core points draw at full radius and
+border/noise points at 70%, and a legend lists cluster sizes.
 """
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from .model import DataError, Dataset, Labeling, NOISE, PointClass
 
@@ -26,6 +28,7 @@ PALETTE = (
     "#98df8a",
 )
 NOISE_COLOR = "#999999"
+_BLOCK = 256  # points formatted per write
 
 
 class UnsupportedDimension(DataError):
@@ -55,26 +58,16 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
     r_small = 0.7 * r_full
 
     labels = labeling.labels
-    classes = labeling.classes
     k = labeling.n_clusters
-    sizes = [int((labels == cid).sum()) for cid in range(k)]
+    sizes = np.bincount(labels[labels >= 0], minlength=k).tolist()
     n_noise = int((labels == NOISE).sum())
 
-    lines = [
+    head = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
         f'<rect x="{_fmt(vx)}" y="{_fmt(vy)}" width="{_fmt(vw)}" height="{_fmt(vh)}" '
         'fill="#ffffff"/>',
     ]
-    coords = dataset.coords
-    flip = ymin + ymax  # mirror y so larger values draw higher
-    for i in range(len(dataset)):
-        lab = int(labels[i])
-        color = NOISE_COLOR if lab == NOISE else PALETTE[lab % len(PALETTE)]
-        r = r_full if int(classes[i]) == int(PointClass.CORE) else r_small
-        cx, cy = float(coords[i, 0]), flip - float(coords[i, 1])
-        lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{color}"/>')
-
     font = 0.025 * span
     swatch = 0.012 * span
     lx = vx + 0.03 * span
@@ -82,12 +75,33 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
     entries = [(PALETTE[cid % len(PALETTE)], f"cluster {cid} (n={sizes[cid]})") for cid in range(k)]
     if n_noise:
         entries.append((NOISE_COLOR, f"noise (n={n_noise})"))
+    legend = []
     for row, (color, text) in enumerate(entries):
         ey = ly + row * font * 1.5
-        lines.append(f'<circle cx="{_fmt(lx)}" cy="{_fmt(ey)}" r="{_fmt(swatch)}" fill="{color}"/>')
-        lines.append(
+        legend.append(f'<circle cx="{_fmt(lx)}" cy="{_fmt(ey)}" r="{_fmt(swatch)}" fill="{color}"/>')
+        legend.append(
             f'<text x="{_fmt(lx + 2 * swatch)}" y="{_fmt(ey + font * 0.35)}" '
             f'font-family="monospace" font-size="{_fmt(font)}" fill="#333333">{text}</text>'
         )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    legend.append("</svg>")
+
+    # The point circles sit between the two, written a block of points at a
+    # time from tolist() columns; flip - y is the same IEEE subtraction in
+    # numpy as in Python.
+    flip = ymin + ymax  # mirror y so larger values draw higher
+    fills = PALETTE + (NOISE_COLOR,)
+    fill_of = np.where(labels == NOISE, len(PALETTE), labels % len(PALETTE))
+    radius = (_fmt(r_small), _fmt(r_full))
+    is_core = labeling.classes == int(PointClass.CORE)
+    coords = dataset.coords
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("".join(line + "\n" for line in head))
+        for s in range(0, len(dataset), _BLOCK):
+            b = slice(s, s + _BLOCK)
+            xs, ys = coords[b, 0].tolist(), (flip - coords[b, 1]).tolist()
+            points = zip(xs, ys, is_core[b].tolist(), fill_of[b].tolist())
+            out.write("".join(
+                f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{radius[c]}" fill="{fills[f]}"/>\n'
+                for x, y, c, f in points
+            ))
+        out.write("".join(line + "\n" for line in legend))

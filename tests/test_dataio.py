@@ -1,9 +1,11 @@
 """CSV parsing/writing, content hashing, and manifest round-trips."""
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from varden import dataio
 from varden.dataio import (
     DimensionMismatch,
     FileNotFound,
@@ -25,8 +27,11 @@ from varden.model import (
     Labeling,
     LabeledDataset,
     NOISE,
+    PointClass,
 )
 from varden.synthgen import gen_scenario, paper_scenario
+
+from adversarial import adversarial_scene
 
 
 class TestReadCsv:
@@ -116,6 +121,19 @@ class TestReadCsv:
         d = read_csv(f)
         assert d.dataset.coords[0, 0] == 0.5 and list(d.truth) == [0]
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # '\ufeff1.0' is no number, so an undecoded mark made line 1 a header
+        f = tmp_path / "d.csv"
+        f.write_text("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+        ds = read_csv(f)
+        assert ds.coords.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("\ufeffx,y,label\n1.0,2.0,noise\n", encoding="utf-8")
+        d = read_csv(f)
+        assert d.dataset.coords.tolist() == [[1.0, 2.0]] and list(d.truth) == [NOISE]
+
 
 class TestWriteCsv:
     def _ds(self):
@@ -172,6 +190,160 @@ class TestWriteDatasetCsv:
         f = tmp_path / "data.csv"
         write_dataset_csv(d, f)
         assert f.read_text() == "x,y,label\n1.0,2.0,noise\n"
+
+
+# The per-row loops that the columnar reader and writers replaced, kept as
+# byte and error references.
+_REF_INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _reference_read_csv(text):
+    """(coords, truth or None) as the per-row reader parsed text, or the error it raised."""
+
+    def number(s):
+        try:
+            float(s)
+            return True
+        except ValueError:
+            return False
+
+    def parse_float(s, line, col):
+        try:
+            v = float(s)
+        except ValueError:
+            raise ParseError(line, col, f"not a number: {s!r}") from None
+        if not np.isfinite(v):
+            raise ParseError(line, col, f"non-finite coordinate: {s!r}")
+        return v
+
+    def parse_truth(s, line, col):
+        if s == "noise":
+            return NOISE
+        if _REF_INT_RE.match(s):
+            v = int(s)
+            if v >= 0 or v == NOISE:
+                return v
+        raise ParseError(line, col, f"expected a cluster id or 'noise', got {s!r}")
+
+    rows, truth, ncols, saw_truth = [], [], None, False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if lineno == 1 and not number(fields[0]):
+            continue
+        if ncols is None:
+            ncols = len(fields)
+            if ncols not in (2, 3, 4):
+                raise DimensionMismatch(
+                    f"line {lineno}: expected 2 coordinate columns plus optional "
+                    f"truth/class, got {ncols} fields"
+                )
+            saw_truth = ncols >= 3
+        elif len(fields) != ncols:
+            raise DimensionMismatch(f"line {lineno}: {len(fields)} fields, expected {ncols}")
+        rows.append((parse_float(fields[0], lineno, 1), parse_float(fields[1], lineno, 2)))
+        if saw_truth:
+            truth.append(parse_truth(fields[2], lineno, 3))
+    if not rows:
+        raise ParseError(1, 1, "no data rows")
+    return np.asarray(rows, dtype=np.float64), (truth if saw_truth else None)
+
+
+def _reference_write_csv(dataset, labeling):
+    lines = ["x,y,cluster,class"]
+    coords = dataset.coords
+    for i in range(len(dataset)):
+        cls = PointClass(int(labeling.classes[i])).token
+        lines.append(f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},{int(labeling.labels[i])},{cls}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_write_dataset_csv(d):
+    lines = ["x,y,label"]
+    coords = d.dataset.coords
+    for i in range(len(d)):
+        t = int(d.truth[i])
+        token = "noise" if t == NOISE else str(t)
+        lines.append(f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},{token}")
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarMatchesRowLoops:
+    # a block of 7 rows puts block ends inside every scene, and one of 4096
+    # holds a scene whole
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096)])
+    def test_write_csv_bytes(self, tmp_path, monkeypatch, seed, block):
+        monkeypatch.setattr(dataio, "_BLOCK", block)
+        ds, lab = adversarial_scene(seed)
+        f = tmp_path / "out.csv"
+        write_csv(ds, lab, f)
+        assert f.read_bytes() == _reference_write_csv(ds, lab).encode("utf-8")
+
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096)])
+    def test_write_dataset_csv_bytes(self, tmp_path, monkeypatch, seed, block):
+        monkeypatch.setattr(dataio, "_BLOCK", block)
+        ds, lab = adversarial_scene(seed)
+        d = LabeledDataset(ds, lab.labels)
+        f = tmp_path / "data.csv"
+        write_dataset_csv(d, f)
+        assert f.read_bytes() == _reference_write_dataset_csv(d).encode("utf-8")
+
+    def test_empty_dataset_writes_the_header(self, tmp_path):
+        ds = Dataset(np.empty((0, 2)))
+        f = tmp_path / "out.csv"
+        write_csv(ds, Labeling(np.empty(0), np.empty(0)), f)
+        assert f.read_bytes() == _reference_write_csv(ds, Labeling(np.empty(0), np.empty(0))).encode()
+        write_dataset_csv(LabeledDataset(ds, np.empty(0)), f)
+        assert f.read_text() == "x,y,label\n"
+
+    def test_bad_class_code_raises_the_enum_error(self, tmp_path):
+        ds, _ = adversarial_scene(0, n=4)
+        with pytest.raises(ValueError, match="^7 is not a valid PointClass$"):
+            write_csv(ds, Labeling([0, 0, 0, 0], [2, 7, -1, 9]), tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_read_csv_values_and_errors(self, tmp_path, seed):
+        """A file of 2, 3 or 4 columns, with or without a header, blank lines
+        and padded fields, with up to two bad fields or a ragged row injected."""
+        rng = np.random.default_rng(seed)
+        n, ncols = int(rng.integers(1, 12)), int(rng.choice([2, 3, 4]))
+        ds, lab = adversarial_scene(seed, n=n)
+        rows = [[repr(x), repr(y)] for x, y in ds.coords.tolist()]
+        for row, t, c in zip(rows, lab.labels.tolist(), lab.classes.tolist()):
+            truth = rng.choice([str(t), "noise" if t == NOISE else f"+{t}"])
+            row += [truth, PointClass(c).token][: ncols - 2]
+        for _ in range(int(rng.integers(0, 3))):
+            r, c = int(rng.integers(n)), int(rng.integers(min(ncols, 3)))
+            rows[r][c] = str(rng.choice(["abc", "nan", "inf", "-inf", "1e999", "", "1..5", "maybe", "-2"]))
+        if rng.random() < 0.2:
+            rows[int(rng.integers(n))].append("9")
+        lines = [" , ".join(row) if rng.random() < 0.2 else ",".join(row) for row in rows]
+        for _ in range(int(rng.integers(0, 3))):
+            lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "   "]))
+        if rng.random() < 0.5:
+            lines.insert(0, ",".join(["x", "y", "label", "class"][:ncols]))
+        text = "\n".join(lines) + "\n"
+        f = tmp_path / "d.csv"
+        f.write_text(text, encoding="utf-8")
+        try:
+            want = _reference_read_csv(text)
+        except (ParseError, DimensionMismatch) as exc:
+            with pytest.raises(type(exc)) as got:
+                read_csv(f)
+            assert str(got.value) == str(exc)
+            if isinstance(exc, ParseError):
+                assert (got.value.line, got.value.column) == (exc.line, exc.column)
+            return
+        got = read_csv(f)
+        coords, truth = want
+        if truth is None:
+            assert not isinstance(got, LabeledDataset)
+            assert got.coords.tobytes() == coords.tobytes()
+        else:
+            assert got.dataset.coords.tobytes() == coords.tobytes()
+            assert got.truth.tolist() == truth
 
 
 def fnv1a_oracle(data: bytes) -> int:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from varden.metrics import adjusted_rand_index
 from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
-from varden.neighborhood import build_index, kth_d2, region_query_naive
+from varden.neighborhood import NeighborIndex, build_index, kth_d2, region_query_naive
 from varden import dbscan
 from varden.dbscan import (
     EpsBracket,
@@ -292,10 +292,12 @@ def test_matches_breadth_first_reference(case):
 def test_bracket_matches_run_dbscan(case):
     ds, min_pts, lo, hi, probes = case
     index = build_index(ds)
-    bracket = EpsBracket(index, kth_d2(index, min_pts, 2.0**512), lo, hi)
+    bracket = EpsBracket(index, min_pts, lo, hi)
+    # the bracket reads its core distances off its own tiles: kth_d2's bits, NaN included
+    assert bracket.core_d2.tobytes() == kth_d2(index, min_pts, hi).tobytes()
     for eps in probes:
         params = DbscanParams(eps, min_pts)
-        # run_dbscan is a bracket too, from core distances capped at eps rather than uncapped ones
+        # run_dbscan is a bracket too, swept at eps rather than at hi
         lab = run_dbscan(ds, params, index=index)
         got = bracket.labeling(eps)
         assert got.labels.tolist() == lab.labels.tolist()
@@ -313,7 +315,7 @@ def test_bracket_matches_run_dbscan_when_it_cuts_its_pairs(min_pts, lo, hi):
     rng = np.random.default_rng(min_pts)
     ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
     index = build_index(ds)
-    bracket = EpsBracket(index, kth_d2(index, min_pts, 2.0**512), lo, hi)
+    bracket = EpsBracket(index, min_pts, lo, hi)
     for eps in np.linspace(lo, hi, 7):
         lab = run_dbscan(ds, DbscanParams(eps, min_pts), index=index)
         got = bracket.labeling(eps)
@@ -352,14 +354,37 @@ def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
     assert lab.classes.tolist() == classes
 
 
-def test_coincident_points_stay_in_bounded_memory():
-    # every pair of the 3000 points is a neighbor pair: 9M of them
-    ds = Dataset(np.zeros((3000, 2)))
+def test_run_dbscan_sweeps_the_tiles_once(monkeypatch):
+    # core distances come from the same sweep as the pairs, not from kth_d2
+    sweeps = []
+    tiles = NeighborIndex.tiles
+    monkeypatch.setattr(NeighborIndex, "tiles", lambda self, eps: sweeps.append(eps) or tiles(self, eps))
+    rng = np.random.default_rng(3)
+    run_dbscan(Dataset(rng.uniform(0, 10, size=(500, 2))), DbscanParams(0.7, 5))
+    assert sweeps == [0.7]
+
+
+def _traced_peak(ds, params):
     tracemalloc.start()
     try:
-        lab = run_dbscan(ds, DbscanParams(0.5, 10))
+        lab = run_dbscan(ds, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return lab, peak
+
+
+def test_coincident_points_stay_in_bounded_memory():
+    # every pair of the 3000 points is a neighbor pair: 9M of them
+    lab, peak = _traced_peak(Dataset(np.zeros((3000, 2))), DbscanParams(0.5, 10))
+    assert lab.n_clusters == 1 and (lab.classes == C).all()
+    assert peak < 16 * 2**20
+
+
+def test_coincident_points_join_the_stack_through_witnesses():
+    # 64M neighbor pairs. Each point joins the stack through one witness
+    # edge, so a tile holds its 32 rows' d2 into the stack but never
+    # materialises their 32 * 8000 pairs
+    lab, peak = _traced_peak(Dataset(np.zeros((8000, 2))), DbscanParams(0.5, 10))
     assert lab.n_clusters == 1 and (lab.classes == C).all()
     assert peak < 16 * 2**20

@@ -1,9 +1,11 @@
 """Byte goldens: the SHA-256 of every file the CLI writes for fixed inputs.
 
 Criterion 12 only checks that two runs agree with each other; these hashes
-catch a change of output bytes across a rewrite of the clustering code. They
-were recorded from the breadth-first labeling that the tiled union-find
-replaced.
+catch a change of output bytes across a rewrite of the clustering code or of
+the CSV and SVG writers. The compare and dbscan hashes were recorded from
+the breadth-first labeling that the tiled union-find replaced; the
+gen/adbscan/eval ones from the per-row CSV and SVG loops that the columnar
+writers replaced.
 """
 import hashlib
 
@@ -47,6 +49,14 @@ DBSCAN_GOLDENS = {
     "labels.svg": "b174e41b28f3f1161411cf785f53fe70953f0c02914308e8d174fdef9c85642e",
 }
 
+PIPELINE_GOLDENS = {
+    "adbscan.csv": "a8cde3bb6895428e61ab9df2d9db8962a5be23b8a83df882760f4d0721634b1c",
+    "adbscan.svg": "a5f889500233bb80f8c63906dc8877d30ec370d813453c52bb3ef69c7f176a77",
+    "adbscan_manifest.txt": "bed5e483bebc8b08a8d7ffb718393fdccd7bc1c4e3b714033947d6cb9244287f",
+    "dataset.csv": "7b8d340a3a193acaffd265d04a21ca40f0e9abfb601b89d4d8ce52d1e3298f1d",
+    "eval_manifest.txt": "b6afecbf1a4c9397785320dab7f202ec69f7a0abf2713b2aaf09470236a488a8",
+}
+
 
 def _hashes(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
@@ -71,3 +81,16 @@ def test_dbscan_on_lattice_is_pinned(tmp_path):
     argv = ["dbscan", "--in", str(src), "--eps", "0.5", "--min-pts", "5"]
     assert cli_main(argv + ["--out", str(out / "labels.csv"), "--svg", str(out / "labels.svg")]) == 0
     assert _hashes(out) == DBSCAN_GOLDENS
+
+
+def test_gen_adbscan_eval_outputs_are_pinned(tmp_path, monkeypatch):
+    # eval reads the 3-column truth file that gen writes and the 4-column
+    # prediction that adbscan writes; its manifest records both paths, so
+    # they are relative
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["gen", "--scenario", "four_varying", "--seed", "7", "--out", "dataset.csv"]) == 0
+    argv = ["adbscan", "--in", "dataset.csv", "--k", "4", "--out", "adbscan.csv"]
+    assert cli_main(argv + ["--svg", "adbscan.svg", "--trace", "adbscan_manifest.txt"]) == 0
+    argv = ["eval", "--in", "dataset.csv", "--pred", "adbscan.csv"]
+    assert cli_main(argv + ["--report", "eval_manifest.txt"]) == 0
+    assert _hashes(tmp_path) == PIPELINE_GOLDENS

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from varden.model import Dataset, Labeling, NOISE
+from adversarial import adversarial_scene
+from varden.model import Dataset, Labeling, NOISE, PointClass
+from varden import render
 from varden.render import NOISE_COLOR, PALETTE, UnsupportedDimension, render_svg
 
 CIRCLE_RE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" fill="([^"]+)"/>')
@@ -131,3 +133,63 @@ def test_length_mismatch(tmp_path):
     ds = Dataset(np.zeros((2, 2)))
     with pytest.raises(Exception):
         render_svg(ds, Labeling([0], [2]), tmp_path / "x.svg")
+
+
+def _reference_svg(dataset, labeling):
+    """The whole file as the per-point loop and the per-cluster size scans wrote it."""
+    fmt = lambda v: f"{v:.6g}"
+    mins, maxs = dataset.bounds()
+    xmin, ymin = float(mins[0]), float(mins[1])
+    xmax, ymax = float(maxs[0]), float(maxs[1])
+    pad_x = 0.05 * (xmax - xmin) if xmax > xmin else 0.5
+    pad_y = 0.05 * (ymax - ymin) if ymax > ymin else 0.5
+    vx, vy = xmin - pad_x, ymin - pad_y
+    vw, vh = (xmax - xmin) + 2 * pad_x, (ymax - ymin) + 2 * pad_y
+    span = max(vw, vh)
+    r_full = 0.009 * span
+    r_small = 0.7 * r_full
+    labels, classes, k = labeling.labels, labeling.classes, labeling.n_clusters
+    sizes = [int((labels == cid).sum()) for cid in range(k)]
+    n_noise = int((labels == NOISE).sum())
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        f'viewBox="{fmt(vx)} {fmt(vy)} {fmt(vw)} {fmt(vh)}">',
+        f'<rect x="{fmt(vx)}" y="{fmt(vy)}" width="{fmt(vw)}" height="{fmt(vh)}" fill="#ffffff"/>',
+    ]
+    coords = dataset.coords
+    flip = ymin + ymax
+    for i in range(len(dataset)):
+        lab = int(labels[i])
+        color = NOISE_COLOR if lab == NOISE else PALETTE[lab % len(PALETTE)]
+        r = r_full if int(classes[i]) == int(PointClass.CORE) else r_small
+        cx, cy = float(coords[i, 0]), flip - float(coords[i, 1])
+        lines.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{color}"/>')
+    font, swatch = 0.025 * span, 0.012 * span
+    lx, ly = vx + 0.03 * span, vy + 0.05 * span
+    entries = [(PALETTE[cid % len(PALETTE)], f"cluster {cid} (n={sizes[cid]})") for cid in range(k)]
+    if n_noise:
+        entries.append((NOISE_COLOR, f"noise (n={n_noise})"))
+    for row, (color, text) in enumerate(entries):
+        ey = ly + row * font * 1.5
+        lines.append(f'<circle cx="{fmt(lx)}" cy="{fmt(ey)}" r="{fmt(swatch)}" fill="{color}"/>')
+        lines.append(
+            f'<text x="{fmt(lx + 2 * swatch)}" y="{fmt(ey + font * 0.35)}" '
+            f'font-family="monospace" font-size="{fmt(font)}" fill="#333333">{text}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 7), (3, 4096), (4, 4096), (5, 4096)])
+def test_matches_the_per_point_loop_byte_for_byte(tmp_path, monkeypatch, seed, block):
+    # signed zeros, subnormals, 1e±300, values .6g rounds, 15 clusters (the
+    # palette cycles), noise, core and border points, and class codes other
+    # than the three (drawn small, as any non-core point); blocks of 7 points
+    # end inside the scene, one of 4096 holds it whole
+    monkeypatch.setattr(render, "_BLOCK", block)
+    ds, lab = adversarial_scene(seed)
+    if seed % 2:
+        lab = Labeling(lab.labels, np.where(lab.classes == 1, 5, lab.classes))
+    path = tmp_path / "scene.svg"
+    render_svg(ds, lab, path)
+    assert path.read_bytes() == _reference_svg(ds, lab).encode("utf-8")
