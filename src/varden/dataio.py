@@ -7,6 +7,7 @@ dataset order, and manifests hold no timestamps. The manifest is a flat
 """
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,11 +66,12 @@ def read_csv(path) -> Dataset | LabeledDataset:
     Four-column files written by write_csv also load: the cluster column
     becomes the truth channel and the class column is ignored. Returns a
     plain Dataset when no truth column is present. A UTF-8 byte order mark
-    is skipped. Errors name the first bad field in file order.
+    is skipped, and a byte that is not UTF-8 is a ParseError at its line and
+    field. Errors name the first bad field in file order.
     """
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8-sig")
+        text = _utf8_text(p.read_bytes())
     except OSError as exc:
         raise FileNotFound(f"cannot read {path}: {exc}") from None
 
@@ -157,6 +159,19 @@ def write_dataset_csv(d: LabeledDataset, path) -> None:
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _utf8_text(data: bytes) -> str:
+    """data decoded as UTF-8, past one byte order mark; a byte that is not UTF-8 is a ParseError."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the x stands for the bad byte, so that a line break just before it counts
+        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            len(lines), lines[-1].count(",") + 1, f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
 def _is_number(s: str) -> bool:

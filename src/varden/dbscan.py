@@ -12,9 +12,20 @@ component's smallest index, and a border point stays with the first cluster
 that reaches it, which is the lowest numbered one. One ``EpsBracket``
 sweep of the neighbor tiles fixes the core set and labels every eps of
 [lo, hi]; run_dbscan uses lo = hi = eps.
+
+Dense balls cost no distances inside them. Following Gan & Tao's grid, the
+bracket buckets the points into cells of side lo / sqrt(d), and a cell of
+at least min_pts points whose bounding box has a diagonal, squared and
+summed axis by axis like every d2, of at most lo * lo is certified: its
+points are core and joined at every eps of the bracket before the sweep
+starts, and the sweep never measures a pair inside a component it already
+knows. A certified point's core distance is therefore not read, and
+core_d2 holds np.maximum(kth_d2(index, min_pts, hi), lo * lo), which no
+labeling(eps) with eps >= lo can tell from the exact value.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -87,12 +98,22 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
 class EpsBracket:
     """DBSCAN for one min_pts at every eps in [lo, hi], from one sweep of the tiles at hi.
 
-    core_d2 holds each point's min_pts-th smallest d2 (itself included) where
-    it is <= hi * hi, NaN elsewhere: the bits of kth_d2(index, min_pts, hi),
-    read off the same tiles as the pairs. p is core at eps exactly when
-    core_d2[p] <= eps * eps, and a pair is a core-core edge exactly when its
-    mutual reachability max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi &
-    Sander, PAKDD 2013) is <= eps * eps.
+    core_d2 holds each point's min_pts-th smallest d2 (itself included),
+    raised to lo * lo, where it is <= hi * hi, and NaN elsewhere: the bits of
+    np.maximum(kth_d2(index, min_pts, hi), lo * lo), read off the same tiles
+    as the pairs. p is core at eps exactly when core_d2[p] <= eps * eps, and
+    a pair is a core-core edge exactly when its mutual reachability
+    max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi & Sander, PAKDD 2013)
+    is <= eps * eps; raising the values to lo * lo changes neither answer.
+
+    Before the sweep, every certified cell (module docstring; Gan & Tao,
+    "DBSCAN Revisited", SIGMOD 2015) joins the base forest rooted at its
+    smallest index, and its points get core_d2 = lo * lo without a
+    partition. The cells are the tiles' blocks (NeighborIndex.tiles), swept
+    first: a block's rows only meet swept points outside its component, and
+    its buffered edges are joined after each of its tiles, so the next one
+    skips the candidates they joined. n coincident points cost O(n log n),
+    not n * n / 32 d2 entries.
 
     A tile fixes its rows' core distances, so each pair within hi is decided
     once, in the tile of whichever end is swept later (within one tile, at
@@ -118,27 +139,32 @@ class EpsBracket:
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
         n = len(index.dataset)
-        core_d2 = np.full(n, np.nan)
-        parent = np.arange(n)
-        lead = np.arange(n)  # p, or the root that p's witness edge joins it to
+        parent = _dense_cells(index.dataset.coords, min_pts, lo)
+        certified = np.bincount(parent, minlength=n)[parent] > 1
+        core_d2 = np.where(certified, lo2, np.nan)
+        lead = parent.copy()  # p, its cell's root, or the root that p's witness edge joins it to
         swept = np.full(n, n)  # each point's position in the sweep; n until its tile comes
         done = 0
         edges: list[tuple[np.ndarray, np.ndarray]] = []
-        kept: list[tuple[np.ndarray, ...]] = []
+        kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
         buffered = held = cut = 0
-        for rows, cols, d2 in index.tiles(hi):
-            if cols.size >= min_pts:
+        for rows, cols, d2 in index.tiles(hi, lambda p: _find(parent, lead[p])):
+            block = certified[rows[0]]  # a certified cell's rows, against the swept points outside its component
+            if cols.size >= min_pts and not block:
                 # a copy, not a view that would hold the whole partitioned tile
                 kth = np.partition(d2, min_pts - 1, axis=1)[:, min_pts - 1].copy()
-                core_d2[rows] = np.where(kth <= hi2, kth, np.nan)
-            core_rows, core_cols = core_d2[rows], core_d2[cols]
+                core_d2[rows] = np.where(kth <= hi2, np.maximum(kth, lo2), np.nan)
             first, done = done, done + rows.size
             pos = np.arange(first, done)
             swept[rows] = pos
+            if not cols.size:
+                continue
+            core_rows, core_cols = core_d2[rows], core_d2[cols]
             at = swept[cols]
             core_lo = core_cols <= lo2
             near = d2 <= lo2
             # these stay roots, as _union needs, until the buffered edges are joined
+            ru = _find(parent, lead[rows])
             rv = _find(parent, lead[cols])
             # a row's witness: its first edge at lo into an earlier tile
             reach = near & (core_lo & (at < first))
@@ -146,11 +172,10 @@ class EpsBracket:
             has = np.flatnonzero((core_rows <= lo2) & reach[np.arange(rows.size), w])
             if has.size:
                 wit = rv[w[has]]
-                lead[rows[has]] = wit
-                edges.append((rows[has], wit))
+                edges.append((ru[has], wit))
                 buffered += has.size
-            # this tile's rows are fresh roots, or stand for their witnesses' roots
-            ru = lead[rows]
+                # the rows stand for their witnesses' roots from here on
+                lead[rows[has]] = ru[has] = wit
             rv = np.where(at < first, rv, lead[cols])
             # each pair once, from its later end, and only while its ends are apart
             k = np.flatnonzero((d2 <= hi2) & (at < pos[:, None]) & (ru[:, None] != rv))
@@ -164,8 +189,9 @@ class EpsBracket:
             kept.append((rows[i], cols[j], d2[i, j]))
             held += i.size
             cutting = held > _PAIR_BUDGET + 2 * cut
-            # join the buffer before a cut: fewer components, fewer pairs kept
-            if cutting or buffered >= _UNION_BUDGET:
+            # join the buffer before a cut (fewer components, fewer pairs kept),
+            # and after a block's tile, so that its next tile skips what this one joined
+            if cutting or block or buffered >= _UNION_BUDGET:
                 _union(parent, *map(np.concatenate, zip(*edges)))
                 edges, buffered = [], 0
             if cutting:
@@ -207,6 +233,54 @@ class EpsBracket:
         classes[reached] = int(PointClass.BORDER)
         classes[core] = int(PointClass.CORE)
         return Labeling(labels, classes)
+
+
+def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
+    """A base forest in which each certified cell is one component rooted at its smallest index.
+
+    The points are bucketed into cells of side lo / sqrt(d). A cell is
+    certified when it holds at least min_pts points, and two or more, and its
+    bounding box passes one check: the box's per-axis spans, squared and
+    summed axis by axis as _axis_d2 does, come to <= lo * lo. Rounding is
+    monotone, so that sum bounds every member pair's computed d2, and every
+    member is core, and adjacent to every other, at every eps >= lo. The
+    check alone makes a certificate; the cells only find the candidates, so
+    two cells that share a wrapped integer key are simply checked together.
+    With lo = 0, or cell indices that would not stay exact integers, no
+    cell is certified.
+    """
+    n, dim = coords.shape
+    parent = np.arange(n)
+    side = lo / math.sqrt(dim)
+    if not (n and side > 0 and np.abs(coords).max() < side * 2.0**52):
+        return parent
+    cell = coords / side
+    np.floor(cell, out=cell)
+    key = np.zeros(n, dtype=np.int64)
+    for ax in range(dim):
+        c = cell[:, ax] - cell[:, ax].min()  # whole numbers below 2^53, so exact
+        key *= int(c.max()) + 1  # may wrap past 2^63
+        key += c.astype(np.int64)
+    del cell, c  # before the sort makes its copies
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sizes = np.diff(starts, append=n)
+    big = sizes >= max(min_pts, 2)
+    if not big.any():
+        return parent
+    members = order[np.repeat(big, sizes)]
+    sizes = sizes[big]
+    firsts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    span2 = np.zeros(firsts.size)
+    with np.errstate(over="ignore"):
+        for ax in range(dim):
+            x = coords[members, ax]
+            span = np.maximum.reduceat(x, firsts) - np.minimum.reduceat(x, firsts)
+            span2 += span * span
+    ok = np.repeat(span2 <= lo * lo, sizes)
+    parent[members[ok]] = np.repeat(np.minimum.reduceat(members, firsts), sizes)[ok]
+    return parent
 
 
 def _closest_pairs(parent: np.ndarray, i: np.ndarray, j: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, ...]:

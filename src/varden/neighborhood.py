@@ -6,7 +6,9 @@ once through ``NeighborIndex.tiles``) and a pure-Python scan
 accumulate d2 axis by axis in the same order and compare it with the same
 eps * eps, so they agree bit for bit, boundary points included. ``kth_d2``
 reads each k-th smallest d2 off the tiles; dbscan.EpsBracket reads the same
-values inside its own sweep, so one sweep both fixes the core set and joins.
+values inside its own sweep, so one sweep both fixes the core set and joins,
+and passes ``tiles`` the roots of its union-find, so that points it already
+knows to be joined are never measured against each other.
 """
 from __future__ import annotations
 
@@ -86,26 +88,68 @@ class NeighborIndex:
         hi = int(np.searchsorted(self._keys, qa + w, side="right"))
         return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc[None])[0] <= eps * eps])
 
-    def tiles(self, eps: float):
+    def tiles(self, eps: float, roots=None):
         """Yield (rows, cols, d2) blocks that together hold every neighborhood.
 
         Every point is a row of exactly one tile. cols holds the tile's
         candidates and d2[i, j] is their squared distance to rows[i], so
         cols[d2[i] <= eps * eps] is rows[i]'s neighborhood, in sweep order.
+
+        roots, if given, maps point indices to the roots (point indices) of
+        the components a caller's union-find has joined them into so far,
+        and it is called again between tiles, as the caller joins more. A
+        component that holds two or more points when the sweep starts is a
+        block: the blocks are swept first, one at a time, and their rows'
+        cols are only the points already swept that lie outside the block's
+        component. A block gathers its candidates once and re-roots the rest
+        before each of its tiles, so a caller that joins a tile's pairs
+        before the next one never meets a joined candidate again. Its tiles
+        grow from 1 row to 32, so that its first row's joins spare the rest;
+        once no candidate is left, the rest of the block is one tile with no
+        cols. Only the other points' cols hold their whole neighborhoods.
         """
         eps = _check_eps(eps)
         w = _half_width(eps)
         keys, pts = self._keys, self._sorted
         lo = np.searchsorted(keys, keys - w, side="left")
         hi = np.searchsorted(keys, keys + w, side="right")
-        for s in range(0, len(keys), _STRIP):
-            strip = s + np.argsort(pts[s : s + _STRIP, self._axis2], kind="stable")
+        shared = np.zeros(len(keys), dtype=bool)
+        if roots is not None:
+            root = roots(self._order)  # by sweep position
+            shared = np.bincount(root, minlength=len(keys))[root] > 1
+            if shared.any():
+                yield from self._blocks(np.flatnonzero(shared), root, roots, lo, hi, w)
+            del root  # n entries the strips do not need
+        rest = np.flatnonzero(~shared)
+        for s in range(0, rest.size, _STRIP):
+            run = rest[s : s + _STRIP]
+            strip = run[np.argsort(pts[run, self._axis2], kind="stable")]
             for t in range(0, strip.size, _TILE):
                 pos = strip[t : t + _TILE]
                 a, b = lo[pos.min()], hi[pos.max()]
                 queries, window = pts[pos], pts[a:b]
                 near = ((window >= queries.min(axis=0) - w) & (window <= queries.max(axis=0) + w)).all(axis=1)
                 yield self._order[pos], self._order[a:b][near], _axis_d2(window[near], queries)
+
+    def _blocks(self, shared, root, roots, lo, hi, w):
+        """The tiles of the blocks of tiles(eps, roots): shared holds their sweep positions, root their roots."""
+        pts, order = self._sorted, self._order
+        by_root = shared[np.argsort(root[shared], kind="stable")]
+        del shared  # n entries the blocks' tiles do not need
+        swept = np.zeros(len(pts), dtype=bool)
+        for block in np.split(by_root, np.flatnonzero(np.diff(root[by_root])) + 1):
+            a, b = lo[block[0]], hi[block[-1]]
+            cand = a + np.flatnonzero(swept[a:b])
+            queries, window = pts[block], pts[cand]
+            near = ((window >= queries.min(axis=0) - w) & (window <= queries.max(axis=0) + w)).all(axis=1)
+            cand = cand[near]
+            swept[block] = True
+            t, size = 0, 1
+            while t < block.size:
+                cand = cand[roots(order[cand]) != roots(order[block[:1]])]
+                pos = block[t : t + size] if cand.size else block[t:]
+                t, size = t + pos.size, min(2 * size, _TILE)
+                yield order[pos], order[cand], _axis_d2(pts[cand], pts[pos])
 
 
 def build_index(dataset: Dataset) -> NeighborIndex:
@@ -158,7 +202,8 @@ def kth_d2(index: NeighborIndex, k: int, r: float) -> np.ndarray:
     r-ball holds fewer than k points; every ball once k > n) is <= no
     eps * eps, even an overflowed one. From r = 2^512, r * r is inf: no cap.
     dbscan.EpsBracket computes the same bits inline, per tile of its own
-    sweep; this sweep serves the tuner's uncapped blob medians.
+    sweep, and raises them to its lo * lo; this sweep serves the tuner's
+    uncapped blob medians.
     """
     r = _check_eps(r)
     r2 = r * r

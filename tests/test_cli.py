@@ -104,6 +104,14 @@ class TestDbscan:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x,y\n1.0,2.0\n\xe9,3.0\n")
+        code = cli_main(["dbscan", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 1: not UTF-8: byte 0xe9" in err and "Traceback" not in err
+
     def test_invalid_eps_is_data_error(self, tmp_path, dataset_csv):
         code = cli_main(
             ["dbscan", "--in", str(dataset_csv), "--eps", "-3", "--out", str(tmp_path / "o.csv")]

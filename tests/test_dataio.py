@@ -134,6 +134,22 @@ class TestReadCsv:
         d = read_csv(f)
         assert d.dataset.coords.tolist() == [[1.0, 2.0]] and list(d.truth) == [NOISE]
 
+    @pytest.mark.parametrize(
+        "data, line, column",
+        [
+            (b"x,y\n1.0,2.0\n\xe9,3.0\n", 3, 1),
+            (b"\xef\xbb\xbfx,y\n1.0,2.0\n1.0,\xe9\n", 3, 2),  # the mark is skipped, not counted
+            (b"1.0,2.0\r\n3.0,4.0\r5.0,\xff\n", 3, 2),
+            (b"1.0,2.0\n3.0\xc3", 2, 1),  # cut off inside a character
+        ],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, line, column):
+        f = tmp_path / "d.csv"
+        f.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_csv(f)
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestWriteCsv:
     def _ds(self):

@@ -2,7 +2,10 @@
 predicates, the classic invariants (order independence of the core
 partition, eps monotonicity of the core set), agreement with a
 breadth-first reference scan, an eps bracket's labelings equal to the
-scan's, and bounded memory on coincident points."""
+scan's, certified dense cells at and beside their boundary, and bounded
+time and memory on coincident points."""
+import math
+import time
 import tracemalloc
 from collections import deque
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from varden.metrics import adjusted_rand_index
 from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
 from varden.neighborhood import NeighborIndex, build_index, kth_d2, region_query_naive
-from varden import dbscan
+from varden import dbscan, neighborhood
 from varden.dbscan import (
     EpsBracket,
     classify_point,
@@ -23,6 +26,8 @@ from varden.dbscan import (
     is_directly_density_reachable,
     run_dbscan,
 )
+
+from adversarial import adversarial_scene
 
 C, B, N = int(PointClass.CORE), int(PointClass.BORDER), int(PointClass.NOISE)
 
@@ -293,8 +298,9 @@ def test_bracket_matches_run_dbscan(case):
     ds, min_pts, lo, hi, probes = case
     index = build_index(ds)
     bracket = EpsBracket(index, min_pts, lo, hi)
-    # the bracket reads its core distances off its own tiles: kth_d2's bits, NaN included
-    assert bracket.core_d2.tobytes() == kth_d2(index, min_pts, hi).tobytes()
+    # the bracket reads its core distances off its own tiles: kth_d2's bits, NaN
+    # included, raised to lo * lo, which is all a certified cell's members get
+    assert bracket.core_d2.tobytes() == np.maximum(kth_d2(index, min_pts, hi), lo * lo).tobytes()
     for eps in probes:
         params = DbscanParams(eps, min_pts)
         # run_dbscan is a bracket too, swept at eps rather than at hi
@@ -321,6 +327,101 @@ def test_bracket_matches_run_dbscan_when_it_cuts_its_pairs(min_pts, lo, hi):
         got = bracket.labeling(eps)
         assert got.labels.tolist() == lab.labels.tolist()
         assert got.classes.tolist() == lab.classes.tolist()
+
+
+def _steps(x, k):
+    """The float k steps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else 0.0))
+    return x
+
+
+# lo whose 3-D lattice cube of step prev(lo / sqrt(3)), the cell side just
+# rounded down, has a diagonal d2 (axis by axis) of exactly lo * lo, and lo
+# whose cube diagonal is one float step above lo * lo
+_CUBE_DIAGONAL_AT_LO = (2.589, 3.373)
+_CUBE_DIAGONAL_ABOVE_LO = (0.855, 3.42)
+
+
+@st.composite
+def _cell_inputs(draw):
+    """Certified cells beside sparse points, and cells at their boundary.
+
+    Lattice sites of step t near the origin, so that a cell of side
+    lo / sqrt(d) holds a block of 2^d sites whose diagonal is lo or one
+    float step above it (3-D, step the cell side rounded down, stacks on
+    two opposite corners), or is t * sqrt(d) with lo a float step either
+    side of that. Each site holds a stack, a clump within t / 4 on every
+    axis, or a lone point. A bracket [lo, hi] is probed at its ends, its
+    midpoint and the lattice radii inside it.
+    """
+    coords = []
+    dim = draw(st.integers(1, 3))
+    if dim == 3 and draw(st.booleans()):
+        lo = draw(st.sampled_from(_CUBE_DIAGONAL_AT_LO + _CUBE_DIAGONAL_ABOVE_LO))
+        t = float(np.nextafter(lo / math.sqrt(3), 0))
+        coords += [np.zeros(3)] * draw(st.integers(1, 8)) + [np.full(3, t)] * draw(st.integers(1, 8))
+    else:
+        t = draw(st.sampled_from([0.25, 0.1, 0.25e-170, 0.1e150]))
+        lo = _steps(t * math.sqrt(dim), draw(st.integers(-1, 1)))
+    min_pts = draw(st.integers(1, 12))
+    site = st.tuples(*[st.integers(-2, 2)] * dim)
+    kinds = st.sampled_from(["stack", "clump", "lone"])
+    for at, kind, count in draw(st.lists(st.tuples(site, kinds, st.integers(1, 15)), min_size=1, max_size=8)):
+        count = 1 if kind == "lone" else count
+        offsets = st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=count, max_size=count)
+        jitter = draw(offsets) if kind == "clump" else [(0,) * dim] * count
+        coords += [np.add(at, np.multiply(j, 1 / 16)) * t for j in jitter]
+    hi = draw(st.sampled_from([lo, 1.5 * lo, 2 * lo]))
+    probes = sorted({r for r in [lo, 0.5 * (lo + hi), hi, t, t * 2**0.5, 2 * t] if lo <= r <= hi})
+    return Dataset(np.array(coords)), min_pts, lo, hi, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_inputs())
+def test_certified_cells_match_breadth_first_reference(case):
+    ds, min_pts, lo, hi, probes = case
+    index = build_index(ds)
+    bracket = EpsBracket(index, min_pts, lo, hi)
+    for eps in probes:
+        params = DbscanParams(eps, min_pts)
+        labels, classes = _reference_dbscan(ds, params)
+        for lab in (run_dbscan(ds, params, index=index), bracket.labeling(eps)):
+            assert lab.labels.tolist() == labels
+            assert lab.classes.tolist() == classes
+
+
+@pytest.mark.parametrize("lo", _CUBE_DIAGONAL_AT_LO + _CUBE_DIAGONAL_ABOVE_LO)
+def test_certificate_is_exact_at_a_cells_diagonal(lo):
+    # stacks of 3 and 4 points on opposite corners of the cell at the origin,
+    # min_pts 5: core exactly when the corners are within lo of each other
+    t = float(np.nextafter(lo / math.sqrt(3), 0))
+    above = lo in _CUBE_DIAGONAL_ABOVE_LO
+    assert t * t + t * t + t * t == (np.nextafter(lo * lo, math.inf) if above else lo * lo)
+    ds = Dataset(np.repeat([[0.0] * 3, [t] * 3], [3, 4], axis=0))
+    certified = dbscan._dense_cells(ds.coords, 5, lo) != np.arange(len(ds))
+    assert certified.sum() == (0 if above else 6)  # all but the root
+    params = DbscanParams(lo, 5)
+    labels, classes = _reference_dbscan(ds, params)
+    lab = run_dbscan(ds, params)
+    assert lab.labels.tolist() == labels and lab.classes.tolist() == classes
+    assert lab.n_clusters == (0 if above else 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_adversarial_coordinates_match_reference(seed):
+    # +-1e300, subnormals and signed zeros. Below about 3e284 the cell indices
+    # of +-1e300 would not stay exact, so no cell is certified; from 1e300 on
+    # lo * lo overflows and every cell of min_pts points is
+    ds, _ = adversarial_scene(seed, n=120)
+    for eps in (1e-300, 1e-5, 1.0, 1e5, 1e300, 1.5e308):
+        for min_pts in (2, 5):
+            params = DbscanParams(eps, min_pts)
+            labels, classes = _reference_dbscan(ds, params)
+            lab = run_dbscan(ds, params)
+            assert lab.labels.tolist() == labels
+            assert lab.classes.tolist() == classes
 
 
 @pytest.mark.parametrize("min_pts", [4, 80])
@@ -358,7 +459,7 @@ def test_run_dbscan_sweeps_the_tiles_once(monkeypatch):
     # core distances come from the same sweep as the pairs, not from kth_d2
     sweeps = []
     tiles = NeighborIndex.tiles
-    monkeypatch.setattr(NeighborIndex, "tiles", lambda self, eps: sweeps.append(eps) or tiles(self, eps))
+    monkeypatch.setattr(NeighborIndex, "tiles", lambda self, eps, *a: sweeps.append(eps) or tiles(self, eps, *a))
     rng = np.random.default_rng(3)
     run_dbscan(Dataset(rng.uniform(0, 10, size=(500, 2))), DbscanParams(0.7, 5))
     assert sweeps == [0.7]
@@ -381,10 +482,44 @@ def test_coincident_points_stay_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
+_GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) * 0.25 + 0.125
+
+
+@pytest.mark.parametrize(
+    "sites, stack, clusters, per_point",
+    # two stacks: every pair inside one of two certified cells (6.9M d2 at
+    # full tiles). 100 stacks of 60, a quarter of lo apart: a block's first
+    # row joins what lies within lo of it, so its later rows meet almost
+    # no candidate (53k; 0.47M when a block's tiles are not joined before
+    # the next one, 3.7M when its candidates are not re-rooted, 9M at full
+    # tiles)
+    [([[3.125, 4.5], [13.0, 15.25]], [2600, 400], 2, 1), (_GRID, 60, 1, 20)],
+)
+def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, clusters, per_point):
+    entries = []
+    axis_d2 = neighborhood._axis_d2
+    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    coords = np.repeat(sites, stack, axis=0)
+    coords = coords[np.random.default_rng(5).permutation(len(coords))]
+    lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
+    assert lab.n_clusters == clusters and (lab.classes == C).all()
+    assert sum(entries) < per_point * len(coords)
+
+
 def test_coincident_points_join_the_stack_through_witnesses():
     # 64M neighbor pairs. Each point joins the stack through one witness
     # edge, so a tile holds its 32 rows' d2 into the stack but never
     # materialises their 32 * 8000 pairs
     lab, peak = _traced_peak(Dataset(np.zeros((8000, 2))), DbscanParams(0.5, 10))
+    assert lab.n_clusters == 1 and (lab.classes == C).all()
+    assert peak < 16 * 2**20
+
+
+def test_coincident_points_scale_linearly():
+    # 1e5 coincident points, 5e9 neighbor pairs: one certified cell, so time
+    # and memory grow with n (50k took 53 s before the certificate)
+    start = time.perf_counter()
+    lab, peak = _traced_peak(Dataset(np.zeros((100_000, 2))), DbscanParams(0.5, 10))
+    assert time.perf_counter() - start < 5.0
     assert lab.n_clusters == 1 and (lab.classes == C).all()
     assert peak < 16 * 2**20
