@@ -264,49 +264,56 @@ def parse_manifest(text: str) -> RunManifest:
         line = raw.strip()
         if not line:
             continue
-        key, _, value = line.partition(" ")
-        if key == "command":
-            command = value
-        elif key == "tool_version":
-            tool_version = value
-        elif key == "dataset_hash":
-            ds_hash = int(value, 16)
-        elif key == "stop_reason":
-            stop_reason = value
-        elif key.startswith("params."):
-            params[key[len("params.") :]] = _parse_value(value)
-        elif key.startswith("trace."):
-            idx = int(key[len("trace.") :])
-            kv = dict(tok.split("=", 1) for tok in value.split())
-            trace.append(
-                IterationRecord(
-                    index=idx,
-                    eps=float(kv["eps"]),
-                    min_pts=int(kv["min_pts"]),
-                    min_pts_real=float(kv["min_pts_real"]),
-                    n_clusters_found=int(kv["found"]),
-                    largest_size=int(kv["largest"]),
-                    accepted=bool(int(kv["accepted"])),
-                    accepted_size=int(kv["accepted_size"]),
-                    remaining=int(kv["remaining"]),
+        try:
+            key, _, value = line.partition(" ")
+            if key == "command":
+                command = value
+            elif key == "tool_version":
+                tool_version = value
+            elif key == "dataset_hash":
+                ds_hash = int(value, 16)
+            elif key == "stop_reason":
+                stop_reason = value
+            elif key.startswith("params."):
+                params[key[len("params.") :]] = _parse_value(value)
+            elif key.startswith("trace."):
+                kv = dict(tok.split("=", 1) for tok in value.split())
+                trace.append(
+                    IterationRecord(
+                        index=int(key[len("trace.") :]),
+                        eps=float(kv["eps"]),
+                        min_pts=int(kv["min_pts"]),
+                        min_pts_real=float(kv["min_pts_real"]),
+                        n_clusters_found=int(kv["found"]),
+                        largest_size=int(kv["largest"]),
+                        accepted=bool(int(kv["accepted"])),
+                        accepted_size=int(kv["accepted_size"]),
+                        remaining=int(kv["remaining"]),
+                    )
                 )
-            )
-        elif key.startswith("report.purity."):
-            purities[int(key[len("report.purity.") :])] = float(value)
-        elif key.startswith("report."):
-            report_fields[key[len("report.") :]] = value
-        else:
-            raise DataError(f"unknown manifest key {key!r}")
+            elif key.startswith("report.purity."):
+                purities[int(key[len("report.purity.") :])] = float(value)
+            elif key == "report.num_clusters_found":
+                report_fields["num_clusters_found"] = int(value)
+            elif key.startswith("report."):
+                report_fields[key[len("report.") :]] = float(value)
+            else:
+                raise DataError(f"unknown manifest key {key!r}")
+        except (KeyError, ValueError) as err:
+            raise DataError(f"malformed manifest line {line!r}") from err
     if command is None or tool_version is None or ds_hash is None:
         raise DataError("manifest missing command/tool_version/dataset_hash")
     report = None
-    if report_fields:
-        report = EvalReport(
-            num_clusters_found=int(report_fields["num_clusters_found"]),
-            ari=float(report_fields["ari"]),
-            noise_fraction=float(report_fields["noise_fraction"]),
-            per_cluster_purity=tuple(purities[i] for i in sorted(purities)),
-        )
+    if report_fields or purities:
+        try:
+            report = EvalReport(
+                num_clusters_found=report_fields["num_clusters_found"],
+                ari=report_fields["ari"],
+                noise_fraction=report_fields["noise_fraction"],
+                per_cluster_purity=tuple(purities[i] for i in sorted(purities)),
+            )
+        except KeyError as err:
+            raise DataError(f"manifest report has no {err.args[0]} line") from err
     return RunManifest(
         command=command,
         tool_version=tool_version,

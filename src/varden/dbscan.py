@@ -21,7 +21,11 @@ points are core and joined at every eps of the bracket before the sweep
 starts, and the sweep never measures a pair inside a component it already
 knows. A certified point's core distance is therefore not read, and
 core_d2 holds np.maximum(kth_d2(index, min_pts, hi), lo * lo), which no
-labeling(eps) with eps >= lo can tell from the exact value.
+labeling(eps) with eps >= lo can tell from the exact value. Every other
+pair within hi is measured once: it joins the components at every eps of
+the bracket when its mutual reachability max(d2, core_d2[i], core_d2[j]) is
+at most lo * lo, and is otherwise kept for labeling(eps) while one of its
+ends is core at hi.
 """
 from __future__ import annotations
 
@@ -117,21 +121,19 @@ class EpsBracket:
 
     A tile fixes its rows' core distances, so each pair within hi is decided
     once, in the tile of whichever end is swept later (within one tile, at
-    the end that comes later in it), when both ends' are known. A pair that
-    is an edge already at lo is one at every eps of the bracket, so it joins
-    a base union-find forest (buffered unions). Before that, each row core
-    at lo takes one such edge into an earlier tile as its witness, and its
-    pairs into the witness's component go unread: a point that meets a
-    joined stack joins it through one edge, not one per stack point. A pair
-    with neither end core at hi is never an edge nor a border link, and is
-    dropped. The rest are kept as (i, j, d2), and whenever too many have
-    come in they are cut to the closest pair between two base components (or
-    a component and a point, or two points): the two sides touch at eps
-    exactly when that pair is within eps, and either end stands for its
-    component. ``labeling(eps)`` joins the kept core-core pairs within eps
-    into a copy of the forest and reads the border links off the rest, with
-    no scan. Memory is O(n + kept pairs + one tile). run_dbscan labels
-    through the bracket at lo = hi = eps.
+    the end that comes later in it), when both ends' are known, and only
+    while its ends lie in two components of the base union-find forest. A
+    pair whose mutual reachability is <= lo * lo is an edge at every eps of
+    the bracket, so it joins the forest (buffered unions); NaN never passes
+    that one comparison. A pair with neither end core at hi is never an edge
+    nor a border link, and is dropped. The rest are kept as (i, j, d2), and
+    whenever too many have come in they are cut to the closest pair between
+    two base components (or a component and a point, or two points): the two
+    sides touch at eps exactly when that pair is within eps, and either end
+    stands for its component. ``labeling(eps)`` joins the kept core-core
+    pairs within eps into a copy of the forest and reads the border links
+    off the rest, with no scan. Memory is O(n + kept pairs + one tile).
+    run_dbscan labels through the bracket at lo = hi = eps.
     """
 
     __slots__ = ("lo", "core_d2", "_parent", "_pairs")
@@ -142,52 +144,36 @@ class EpsBracket:
         parent = _dense_cells(index.dataset.coords, min_pts, lo)
         certified = np.bincount(parent, minlength=n)[parent] > 1
         core_d2 = np.where(certified, lo2, np.nan)
-        lead = parent.copy()  # p, its cell's root, or the root that p's witness edge joins it to
         swept = np.full(n, n)  # each point's position in the sweep; n until its tile comes
         done = 0
         edges: list[tuple[np.ndarray, np.ndarray]] = []
         kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
         buffered = held = cut = 0
-        for rows, cols, d2 in index.tiles(hi, lambda p: _find(parent, lead[p])):
+        for rows, cols, d2 in index.tiles(hi, lambda p: _find(parent, p)):
             block = certified[rows[0]]  # a certified cell's rows, against the swept points outside its component
             if cols.size >= min_pts and not block:
                 # a copy, not a view that would hold the whole partitioned tile
                 kth = np.partition(d2, min_pts - 1, axis=1)[:, min_pts - 1].copy()
                 core_d2[rows] = np.where(kth <= hi2, np.maximum(kth, lo2), np.nan)
-            first, done = done, done + rows.size
-            pos = np.arange(first, done)
+            pos = np.arange(done, done + rows.size)
+            done += rows.size
             swept[rows] = pos
             if not cols.size:
                 continue
-            core_rows, core_cols = core_d2[rows], core_d2[cols]
-            at = swept[cols]
-            core_lo = core_cols <= lo2
-            near = d2 <= lo2
             # these stay roots, as _union needs, until the buffered edges are joined
-            ru = _find(parent, lead[rows])
-            rv = _find(parent, lead[cols])
-            # a row's witness: its first edge at lo into an earlier tile
-            reach = near & (core_lo & (at < first))
-            w = reach.argmax(axis=1)
-            has = np.flatnonzero((core_rows <= lo2) & reach[np.arange(rows.size), w])
-            if has.size:
-                wit = rv[w[has]]
-                edges.append((ru[has], wit))
-                buffered += has.size
-                # the rows stand for their witnesses' roots from here on
-                lead[rows[has]] = ru[has] = wit
-            rv = np.where(at < first, rv, lead[cols])
+            ru, rv = _find(parent, rows), _find(parent, cols)
             # each pair once, from its later end, and only while its ends are apart
-            k = np.flatnonzero((d2 <= hi2) & (at < pos[:, None]) & (ru[:, None] != rv))
+            k = np.flatnonzero((d2 <= hi2) & (swept[cols] < pos[:, None]) & (ru[:, None] != rv))
             i, j = np.divmod(k, cols.size)
-            del k  # as large as i and j; d2 is gathered again only for the pairs kept
-            fold = core_lo[j] & near[i, j] & (core_rows[i] <= lo2)
+            del k  # as large as i and j
+            dij, ci, cj = d2[i, j], core_d2[rows[i]], core_d2[cols[j]]
+            # mutual reachability within lo: an edge at every eps of the bracket (NaN never is)
+            fold = np.maximum(np.maximum(dij, ci), cj) <= lo2
             edges.append((ru[i[fold]], rv[j[fold]]))
             buffered += edges[-1][0].size
-            keep = ~fold & ((core_rows[i] <= hi2) | (core_cols[j] <= hi2))
-            i, j = i[keep], j[keep]
-            kept.append((rows[i], cols[j], d2[i, j]))
-            held += i.size
+            keep = ~fold & ((ci <= hi2) | (cj <= hi2))
+            kept.append((rows[i[keep]], cols[j[keep]], dij[keep]))
+            held += kept[-1][0].size
             cutting = held > _PAIR_BUDGET + 2 * cut
             # join the buffer before a cut (fewer components, fewer pairs kept),
             # and after a block's tile, so that its next tile skips what this one joined
@@ -245,20 +231,23 @@ def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
     monotone, so that sum bounds every member pair's computed d2, and every
     member is core, and adjacent to every other, at every eps >= lo. The
     check alone makes a certificate; the cells only find the candidates, so
-    two cells that share a wrapped integer key are simply checked together.
-    With lo = 0, or cell indices that would not stay exact integers, no
-    cell is certified.
+    two cells that share a wrapped integer key, or that rounding merges, are
+    simply checked together. Cell indices are clipped to +-2^61 before the
+    floor: a stack far from the origin still lands in one cell, and a cell
+    that rounding splits past 2^53 is only a missed certificate. With
+    lo = 0 no cell is certified.
     """
     n, dim = coords.shape
     parent = np.arange(n)
     side = lo / math.sqrt(dim)
-    if not (n and side > 0 and np.abs(coords).max() < side * 2.0**52):
+    if not (n and side > 0):
         return parent
-    cell = coords / side
+    with np.errstate(over="ignore"):
+        cell = np.clip(coords / side, -(2.0**61), 2.0**61)
     np.floor(cell, out=cell)
     key = np.zeros(n, dtype=np.int64)
     for ax in range(dim):
-        c = cell[:, ax] - cell[:, ax].min()  # whole numbers below 2^53, so exact
+        c = cell[:, ax] - cell[:, ax].min()  # whole numbers up to 2^62
         key *= int(c.max()) + 1  # may wrap past 2^63
         key += c.astype(np.int64)
     del cell, c  # before the sort makes its copies

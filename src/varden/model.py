@@ -167,6 +167,25 @@ def check_int(value, name: str, low: int, high: int | None = None, error: type[V
     return n
 
 
+def check_float(
+    value, name: str, low: float = -math.inf, high: float = math.inf, closed: bool = False,
+    error: type[VardenError] = ParamError,
+) -> float:
+    """value as a float; error, never a raw TypeError or ValueError, unless
+    it is finite, > low (>= low when closed) and < high."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (x >= low if closed else x > low) and x < high):
+        if high < math.inf:
+            bound = f"in {'[' if closed else '('}{low}, {high})"
+        else:
+            bound = "finite" + (f" and {'>=' if closed else '>'} {low}" if low > -math.inf else "")
+        raise error(f"{name} must be {bound}, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class DbscanParams:
     """Parameters for a single density scan.
@@ -179,10 +198,7 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self) -> None:
-        eps = float(self.eps)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise ParamError(f"eps must be finite and > 0, got {self.eps!r}")
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps", check_float(self.eps, "eps", 0))
         object.__setattr__(self, "min_pts", check_int(self.min_pts, "min_pts", 1))
 
 
@@ -267,35 +283,18 @@ class AdbscanParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", check_int(self.k, "k", 1))
-        eps0 = float(self.eps0)
-        if not math.isfinite(eps0) or eps0 <= 0.0:
-            raise ParamError(f"eps0 must be finite and > 0, got {self.eps0!r}")
-        object.__setattr__(self, "eps0", eps0)
+        object.__setattr__(self, "eps0", check_float(self.eps0, "eps0", 0))
         # min_pts0 may be real: it seeds the same fractional accumulator the
         # half-steps feed, and scans ceil it before use.
-        mp0 = float(self.min_pts0)
-        if not math.isfinite(mp0) or mp0 < 1.0:
-            raise ParamError(f"min_pts0 must be finite and >= 1, got {self.min_pts0!r}")
-        object.__setattr__(self, "min_pts0", mp0)
-        for name in ("step", "eps_step", "min_pts_step"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = float(v)
-            if not math.isfinite(v) or v < 0.0:
-                raise ParamError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not 0.0 < float(self.accept_fraction) < 1.0:
-            raise ParamError(f"accept_fraction must be in (0, 1), got {self.accept_fraction!r}")
-        object.__setattr__(self, "accept_fraction", float(self.accept_fraction))
-        if not 0.0 <= float(self.residual_fraction) < 1.0:
-            raise ParamError(f"residual_fraction must be in [0, 1), got {self.residual_fraction!r}")
-        object.__setattr__(self, "residual_fraction", float(self.residual_fraction))
-        if self.eps_cap is not None:
-            cap = float(self.eps_cap)
-            if not math.isfinite(cap) or cap <= 0.0:
-                raise ParamError(f"eps_cap must be finite and > 0, got {self.eps_cap!r}")
-            object.__setattr__(self, "eps_cap", cap)
+        object.__setattr__(self, "min_pts0", check_float(self.min_pts0, "min_pts0", 1, closed=True))
+        object.__setattr__(self, "step", check_float(self.step, "step", 0, closed=True))
+        for name, closed in (("eps_step", True), ("min_pts_step", True), ("eps_cap", False)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_float(getattr(self, name), name, 0, closed=closed))
+        object.__setattr__(self, "accept_fraction", check_float(self.accept_fraction, "accept_fraction", 0, 1))
+        object.__setattr__(
+            self, "residual_fraction", check_float(self.residual_fraction, "residual_fraction", 0, 1, closed=True)
+        )
         object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters", 1))
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, DataError, ParamError
+from .model import Dataset, DataError, check_float
 
 _STRIP = 256  # sweep positions per strip, re-sorted along the second axis
 _TILE = 32  # query rows per tile
@@ -81,7 +81,7 @@ class NeighborIndex:
     def query(self, q, eps: float) -> np.ndarray:
         """Ascending indices of the points within eps of q (a point index or coordinates)."""
         qc = _query_coords(self.dataset, q)
-        eps = _check_eps(eps)
+        eps = check_float(eps, "eps", 0)
         qa = float(qc[self._axis])
         w = _half_width(eps)
         lo = int(np.searchsorted(self._keys, qa - w, side="left"))
@@ -108,7 +108,7 @@ class NeighborIndex:
         once no candidate is left, the rest of the block is one tile with no
         cols. Only the other points' cols hold their whole neighborhoods.
         """
-        eps = _check_eps(eps)
+        eps = check_float(eps, "eps", 0)
         w = _half_width(eps)
         keys, pts = self._keys, self._sorted
         lo = np.searchsorted(keys, keys - w, side="left")
@@ -165,7 +165,7 @@ def region_query(index: NeighborIndex, q, eps: float) -> np.ndarray:
 def region_query_naive(dataset: Dataset, q, eps: float) -> np.ndarray:
     """Reference implementation: scan every point in pure Python."""
     qc = _query_coords(dataset, q)
-    eps = _check_eps(eps)
+    eps = check_float(eps, "eps", 0)
     eps2 = eps * eps
     coords = dataset.coords
     dim = dataset.dim
@@ -205,7 +205,7 @@ def kth_d2(index: NeighborIndex, k: int, r: float) -> np.ndarray:
     sweep, and raises them to its lo * lo; this sweep serves the tuner's
     uncapped blob medians.
     """
-    r = _check_eps(r)
+    r = check_float(r, "eps", 0)
     r2 = r * r
     out = np.full(len(index.dataset), np.nan)
     for rows, _, d2 in index.tiles(r):
@@ -227,10 +227,3 @@ def _query_coords(dataset: Dataset, q) -> np.ndarray:
     if not np.isfinite(qc).all():
         raise DataError("query point has non-finite coordinates")
     return qc
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ParamError(f"eps must be finite and > 0, got {eps!r}")
-    return eps

@@ -9,12 +9,11 @@ layouts whose densities differ enough that no single radius suits them all.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LabeledDataset, NOISE, Point, VardenError, check_int
+from .model import Dataset, LabeledDataset, NOISE, Point, VardenError, check_float, check_int
 from .rng import SplitMix64
 
 
@@ -42,10 +41,7 @@ class BlobSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.center, Point):
             object.__setattr__(self, "center", Point(tuple(self.center)))
-        sd = float(self.std_dev)
-        if not math.isfinite(sd) or sd <= 0.0:
-            raise InvalidSpec(f"std_dev must be finite and > 0, got {self.std_dev!r}")
-        object.__setattr__(self, "std_dev", sd)
+        object.__setattr__(self, "std_dev", check_float(self.std_dev, "std_dev", 0, error=InvalidSpec))
         object.__setattr__(self, "count", check_int(self.count, "count", 1, error=InvalidSpec))
 
 
@@ -71,11 +67,14 @@ class ScenarioSpec:
             if len(b.center) != dim:
                 raise InvalidSpec("blob centers have mixed dimensions")
         object.__setattr__(self, "noise_count", check_int(self.noise_count, "noise_count", 0, error=InvalidSpec))
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.noise_bounds)
+        bounds = tuple(
+            (check_float(lo, "noise bound", error=InvalidSpec), check_float(hi, "noise bound", error=InvalidSpec))
+            for lo, hi in self.noise_bounds
+        )
         if len(bounds) != dim:
             raise InvalidSpec(f"noise_bounds cover {len(bounds)} axes, blobs are {dim}-d")
         for lo, hi in bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            if lo >= hi:
                 raise InvalidSpec(f"bad noise bound ({lo!r}, {hi!r})")
         for b in blobs:
             for ax, c in enumerate(b.center):

@@ -441,6 +441,24 @@ class TestManifest:
         with pytest.raises(DataError):
             parse_manifest("command x\n")
 
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            ("dataset_hash zz\n", "dataset_hash zz"),
+            ("trace.1 eps=1\n", "trace.1 eps=1"),
+            ("trace.x eps=1\n", "trace.x"),
+            ("trace.1 eps\n", "trace.1 eps"),
+            ("report.purity.a 0.5\n", "report.purity.a"),
+            ("report.ari x\n", "report.ari x"),
+            ("report.ari 0.5\n", "no num_clusters_found"),
+            ("report.purity.0 0.5\n", "no num_clusters_found"),
+            ("report.num_clusters_found 2\nreport.ari 0.5\n", "no noise_fraction"),
+        ],
+    )
+    def test_malformed_line_rejected(self, lines, match):
+        with pytest.raises(DataError, match=match):
+            parse_manifest(f"command x\ntool_version 1\n{lines}dataset_hash 0x0\n")
+
     def test_write_read_file(self, tmp_path):
         m = _full_manifest()
         f = tmp_path / "m.txt"

@@ -411,8 +411,9 @@ def test_certificate_is_exact_at_a_cells_diagonal(lo):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(4))
 def test_adversarial_coordinates_match_reference(seed):
-    # +-1e300, subnormals and signed zeros. Below about 3e284 the cell indices
-    # of +-1e300 would not stay exact, so no cell is certified; from 1e300 on
+    # +-1e300, subnormals and signed zeros. Below about 6e281 the cell indices
+    # of +-1e300 pass 2^61 and are clipped onto the grid's edge cells, which
+    # are certified only where their bounding box passes; from 1e300 on
     # lo * lo overflows and every cell of min_pts points is
     ds, _ = adversarial_scene(seed, n=120)
     for eps in (1e-300, 1e-5, 1.0, 1e5, 1e300, 1.5e308):
@@ -492,8 +493,14 @@ _GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) *
     # row joins what lies within lo of it, so its later rows meet almost
     # no candidate (53k; 0.47M when a block's tiles are not joined before
     # the next one, 3.7M when its candidates are not re-rooted, 9M at full
-    # tiles)
-    [([[3.125, 4.5], [13.0, 15.25]], [2600, 400], 2, 1), (_GRID, 60, 1, 20)],
+    # tiles). Stacks far from the origin are certified too (9M d2 each when
+    # their cell indices are not clipped but given up on)
+    [
+        ([[3.125, 4.5], [13.0, 15.25]], [2600, 400], 2, 1),
+        (_GRID, 60, 1, 20),
+        ([[1e16, 1e16]], [3000], 1, 1),
+        ([[0.0, 0.0], [1e16, 1e16]], [3000, 10], 2, 1),
+    ],
 )
 def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, clusters, per_point):
     entries = []
@@ -506,10 +513,9 @@ def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, 
     assert sum(entries) < per_point * len(coords)
 
 
-def test_coincident_points_join_the_stack_through_witnesses():
-    # 64M neighbor pairs. Each point joins the stack through one witness
-    # edge, so a tile holds its 32 rows' d2 into the stack but never
-    # materialises their 32 * 8000 pairs
+def test_coincident_points_are_one_certified_cell():
+    # 64M neighbor pairs, all inside one certified cell: the sweep measures
+    # none of them
     lab, peak = _traced_peak(Dataset(np.zeros((8000, 2))), DbscanParams(0.5, 10))
     assert lab.n_clusters == 1 and (lab.classes == C).all()
     assert peak < 16 * 2**20

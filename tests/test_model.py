@@ -90,7 +90,7 @@ class TestDbscanParams:
         p = DbscanParams(0.5, 10)
         assert p.eps == 0.5 and p.min_pts == 10
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
     def test_bad_eps(self, eps):
         with pytest.raises(ParamError):
             DbscanParams(eps, 10)
@@ -131,6 +131,16 @@ class TestAdbscanParams:
             {"k": float("inf")},
             {"k": 1, "max_iters": float("nan")},
             {"k": 1, "max_iters": float("inf")},
+            {"k": 1, "eps0": None},
+            {"k": 1, "eps0": "x"},
+            {"k": 1, "min_pts0": None},
+            {"k": 1, "step": None},
+            {"k": 1, "step": "x"},
+            {"k": 1, "eps_step": "x"},
+            {"k": 1, "accept_fraction": None},
+            {"k": 1, "accept_fraction": "x"},
+            {"k": 1, "residual_fraction": None},
+            {"k": 1, "eps_cap": "x"},
         ],
     )
     def test_invalid(self, kwargs):

@@ -216,7 +216,7 @@ class TestTiles:
 
     def test_eps_validation(self, grid_ds):
         idx = build_index(grid_ds)
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, None, "x"):
             with pytest.raises(ParamError):
                 next(idx.tiles(bad))
 
@@ -279,7 +279,7 @@ class TestKthD2:
 
     def test_r_validation(self, grid_ds):
         idx = build_index(grid_ds)
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, None, "x"):
             with pytest.raises(ParamError):
                 kth_d2(idx, 1, bad)
 
@@ -304,7 +304,7 @@ def test_duplicate_points():
 
 def test_eps_validation(grid_ds):
     idx = build_index(grid_ds)
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, None, "x"):
         with pytest.raises(ParamError):
             region_query(idx, 0, bad)
         with pytest.raises(ParamError):

@@ -21,11 +21,11 @@ from varden.synthgen import (
 WIDE = ((-100.0, 100.0), (-100.0, 100.0))
 
 
-def _single_blob(sd=0.2, count=300, seed=1, noise=0):
+def _single_blob(sd=0.2, count=300, seed=1, noise=0, bounds=WIDE):
     return ScenarioSpec(
         blobs=(BlobSpec(Point((0.0, 0.0)), sd, count),),
         noise_count=noise,
-        noise_bounds=WIDE,
+        noise_bounds=bounds,
         seed=seed,
     )
 
@@ -114,7 +114,7 @@ class TestSpecValidation:
                 seed=1,
             )
 
-    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan, None, "x"])
     def test_bad_std_dev(self, sd):
         with pytest.raises(InvalidSpec):
             BlobSpec(Point((0.0, 0.0)), sd, 5)
@@ -130,10 +130,13 @@ class TestSpecValidation:
             ("seed", math.nan),
             ("seed", math.inf),
             ("seed", 2**64),
+            ("bounds", ((None, 1.0), (-1.0, 1.0))),
+            ("bounds", ((-1.0, "x"), (-1.0, 1.0))),
         ],
     )
     def test_bad_count(self, field, bad):
-        # counts and seeds that int() cannot take or would change are InvalidSpec too
+        # counts and seeds that int() cannot take or would change, and noise
+        # bounds that float() cannot take, are InvalidSpec too
         with pytest.raises(InvalidSpec):
             _single_blob(**{field: bad})
 
