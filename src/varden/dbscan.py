@@ -14,7 +14,8 @@ sweep of the neighbor tiles fixes the core set and labels every eps of
 [lo, hi]; run_dbscan uses lo = hi = eps.
 
 Dense balls cost no distances inside them. Following Gan & Tao's grid, the
-bracket buckets the points into cells of side lo / sqrt(d), and a cell of
+bracket buckets the points into cells of side lo / sqrt(d), with the cell
+code of the neighbor tiles' grid (which has side about hi), and a cell of
 at least min_pts points whose bounding box has a diagonal, squared and
 summed axis by axis like every d2, of at most lo * lo is certified: its
 points are core and joined at every eps of the bracket before the sweep
@@ -42,7 +43,7 @@ from .model import (
     PointClass,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, build_index, region_query
+from .neighborhood import NeighborIndex, _cells, build_index, region_query
 
 _UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
@@ -114,7 +115,8 @@ class EpsBracket:
     "DBSCAN Revisited", SIGMOD 2015) joins the base forest rooted at its
     smallest index, and its points get core_d2 = lo * lo without a
     partition. The cells are the tiles' blocks (NeighborIndex.tiles), swept
-    first: a block's rows only meet swept points outside its component, and
+    first: a block gathers its candidates from the tiles' grid around its
+    bounding box, its rows only meet swept points outside its component, and
     its buffered edges are joined after each of its tiles, so the next one
     skips the candidates they joined. n coincident points cost O(n log n),
     not n * n / 32 d2 entries.
@@ -224,36 +226,29 @@ class EpsBracket:
 def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
     """A base forest in which each certified cell is one component rooted at its smallest index.
 
-    The points are bucketed into cells of side lo / sqrt(d). A cell is
-    certified when it holds at least min_pts points, and two or more, and its
-    bounding box passes one check: the box's per-axis spans, squared and
-    summed axis by axis as _axis_d2 does, come to <= lo * lo. Rounding is
-    monotone, so that sum bounds every member pair's computed d2, and every
-    member is core, and adjacent to every other, at every eps >= lo. The
-    check alone makes a certificate; the cells only find the candidates, so
-    two cells that share a wrapped integer key, or that rounding merges, are
-    simply checked together. Cell indices are clipped to +-2^61 before the
-    floor: a stack far from the origin still lands in one cell, and a cell
-    that rounding splits past 2^53 is only a missed certificate. With
-    lo = 0 no cell is certified.
+    The points are bucketed into cells of side lo / sqrt(d), by the cell
+    code of the neighbor tiles (neighborhood._cells), and grouped by one
+    lexicographic sort of their cells. A cell is certified when it holds at
+    least min_pts points, and two or more, and its bounding box passes one
+    check: the box's per-axis spans, squared and summed axis by axis as
+    _axis_d2 does, come to <= lo * lo. Rounding is monotone, so that sum
+    bounds every member pair's computed d2, and every member is core, and
+    adjacent to every other, at every eps >= lo. The check alone makes a
+    certificate; the cells only find the candidates, so cells that the clip
+    to +-2^61 or rounding merges are simply checked together: a stack far
+    from the origin still lands in one cell. With lo = 0 no cell is
+    certified.
     """
     n, dim = coords.shape
     parent = np.arange(n)
     side = lo / math.sqrt(dim)
     if not (n and side > 0):
         return parent
-    with np.errstate(over="ignore"):
-        cell = np.clip(coords / side, -(2.0**61), 2.0**61)
-    np.floor(cell, out=cell)
-    key = np.zeros(n, dtype=np.int64)
-    for ax in range(dim):
-        c = cell[:, ax] - cell[:, ax].min()  # whole numbers up to 2^62
-        key *= int(c.max()) + 1  # may wrap past 2^63
-        key += c.astype(np.int64)
-    del cell, c  # before the sort makes its copies
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cell = _cells(coords, side)
+    order = np.lexsort(cell.T[::-1])
+    cell = cell[order]
+    starts = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)])
+    del cell  # before the boxes
     sizes = np.diff(starts, append=n)
     big = sizes >= max(min_pts, 2)
     if not big.any():

@@ -25,6 +25,14 @@ class UnknownScenario(VardenError):
     """No built-in scenario has the requested name."""
 
 
+def _sequence(value, name: str) -> tuple:
+    """value as a tuple; InvalidSpec, not a raw TypeError, when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BlobSpec:
     """One isotropic Gaussian blob.
@@ -40,7 +48,11 @@ class BlobSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.center, Point):
-            object.__setattr__(self, "center", Point(tuple(self.center)))
+            coords = _sequence(self.center, "blob center")
+            if not coords:
+                raise InvalidSpec("blob center must have at least one coordinate")
+            center = Point(tuple(check_float(c, "blob center coordinate", error=InvalidSpec) for c in coords))
+            object.__setattr__(self, "center", center)
         object.__setattr__(self, "std_dev", check_float(self.std_dev, "std_dev", 0, error=InvalidSpec))
         object.__setattr__(self, "count", check_int(self.count, "count", 1, error=InvalidSpec))
 
@@ -58,19 +70,24 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        blobs = tuple(self.blobs)
+        blobs = _sequence(self.blobs, "blobs")
         if not blobs:
             raise InvalidSpec("a scenario needs at least one blob")
+        if not all(isinstance(b, BlobSpec) for b in blobs):
+            raise InvalidSpec(f"blobs must be BlobSpecs, got {blobs!r}")
         object.__setattr__(self, "blobs", blobs)
         dim = len(blobs[0].center)
         for b in blobs:
             if len(b.center) != dim:
                 raise InvalidSpec("blob centers have mixed dimensions")
         object.__setattr__(self, "noise_count", check_int(self.noise_count, "noise_count", 0, error=InvalidSpec))
-        bounds = tuple(
-            (check_float(lo, "noise bound", error=InvalidSpec), check_float(hi, "noise bound", error=InvalidSpec))
-            for lo, hi in self.noise_bounds
-        )
+        bounds = []
+        for pair in _sequence(self.noise_bounds, "noise_bounds"):
+            pair = _sequence(pair, "a noise bound")
+            if len(pair) != 2:
+                raise InvalidSpec(f"a noise bound must be a (lo, hi) pair, got {pair!r}")
+            bounds.append(tuple(check_float(x, "noise bound", error=InvalidSpec) for x in pair))
+        bounds = tuple(bounds)
         if len(bounds) != dim:
             raise InvalidSpec(f"noise_bounds cover {len(bounds)} axes, blobs are {dim}-d")
         for lo, hi in bounds:

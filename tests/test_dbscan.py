@@ -427,7 +427,7 @@ def test_adversarial_coordinates_match_reference(seed):
 
 @pytest.mark.parametrize("min_pts", [4, 80])
 def test_matches_reference_across_union_flushes(min_pts):
-    # 1000 lattice points over 4 strips, about 62 per ball: at min_pts 4 all
+    # 1000 lattice points, about 62 per ball: at min_pts 4 all
     # 30k core-core pairs, more than one union buffer holds; at 80, four
     # clusters and 532 border points
     rng = np.random.default_rng(min_pts)
@@ -511,6 +511,35 @@ def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, 
     lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
     assert lab.n_clusters == clusters and (lab.classes == C).all()
     assert sum(entries) < per_point * len(coords)
+
+
+@pytest.mark.parametrize("shape, per_point", [("gaussian", 600), ("uniform", 350)])
+def test_grid_tiles_measure_few_distances_in_3d(monkeypatch, shape, per_point):
+    # 2e4 3-D points: a Gaussian of std 1 at eps 0.3, and uniform points with
+    # about 10 per ball. The grid's columns cut every axis but the sweep
+    # axis, so a tile's candidates lie near it on all three: about 465 and
+    # 300 d2 entries per point, where cutting one other axis only gave 970
+    # and 445
+    entries = []
+    axis_d2 = neighborhood._axis_d2
+    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    rng, n = np.random.default_rng(0), 20_000
+    if shape == "gaussian":
+        coords, eps = rng.normal(0.0, 1.0, size=(n, 3)), 0.3
+    else:
+        coords, eps = rng.uniform(0.0, 1.0, size=(n, 3)), (10 * 3 / (4 * math.pi * n)) ** (1 / 3)
+    lab = run_dbscan(Dataset(coords), DbscanParams(eps, 10))
+    assert lab.n_clusters >= 1
+    assert sum(entries) < per_point * n
+
+
+def test_eps_beyond_the_diameter_is_one_certified_cell():
+    # 1e4 points, every pair within eps: one certified cell, no distance measured
+    coords = np.random.default_rng(2).uniform(0.0, 1.0, size=(10_000, 2))
+    start = time.perf_counter()
+    lab = run_dbscan(Dataset(coords), DbscanParams(2.0, 10))
+    assert time.perf_counter() - start < 0.5
+    assert lab.n_clusters == 1 and (lab.classes == C).all()
 
 
 def test_coincident_points_are_one_certified_cell():

@@ -1,5 +1,7 @@
 """Radius search: the sweep-index routes (one query, or every neighborhood
-through the tiles) must match the naive scan exactly, boundary points included."""
+through the tiles) must match the naive scan exactly, boundary points
+included, and a k-d tree away from ties."""
+import itertools
 import math
 
 import numpy as np
@@ -123,9 +125,10 @@ def _bbox_edge_cases(dim, scale):
     """(dataset, eps) pairs whose tiles cut between a row and its edge points.
 
     12 queries on a line along axis 0, 3 eps long, so axis 0 is the sweep
-    axis, each with its edge points on the other axes. Cut into tiles along
-    the second axis, some tiles hold queries but not their edge points on
-    one side, which then lie just outside an unpadded bounding box.
+    axis, each with its edge points on the other axes, which the tiles' grid
+    cuts into cells. A query's edge points then lie in its column or in a
+    neighbouring one, just outside an unpadded bounding box of the rows,
+    and on one side of a cell boundary or the other.
     """
     rng = np.random.default_rng(10 + dim)
     for eps_scale in (1e-6, 1.0, 1e6):
@@ -138,6 +141,32 @@ def _bbox_edge_cases(dim, scale):
                 q[0] += i * eps / 4
                 pts += [q, *_edge_points(q, eps, range(1, dim))]
             yield Dataset(np.array(pts)[rng.permutation(len(pts))]), eps
+
+
+def _cell_edge_cases(dim, scale):
+    """(dataset, eps) pairs at the cell boundaries of the tiles' grid, side w = eps * (1 + 2^-50).
+
+    eps is a power of two near scale, so lattice points m * eps are exact
+    and lattice neighbors lie at exactly eps. m * eps lies just below the
+    cell boundary m * w, so around cell index m = 2^4, 2^20 and 2^52 (either
+    sign) on every axis, such pairs straddle cell boundaries. The last set
+    puts axis 1 at +-2^62 * eps and +-1e300, where cell indices are clipped
+    to +-2^61: every point twice, lattice pairs along axis 0, and two
+    anchors at +-1e300 that keep axis 0 the sweep axis.
+    """
+    eps = 2.0 ** (round(math.log2(scale)) - 2)
+    steps = np.array(list(itertools.product((-1, 0, 1, 2), repeat=dim)), dtype=float)
+    for m in (2**4, 2**20, 2**52):
+        for sign in (1.0, -1.0):
+            yield Dataset((sign * m + steps) * eps), eps
+    anchors = np.zeros((2, dim))
+    anchors[:, 0] = (1e300, -1e300)
+    pts = [anchors]
+    for far in (2.0**62 * eps, -(2.0**62) * eps, 1e300, -1e300):
+        block = (2**4 + steps) * eps
+        block[:, min(1, dim - 1)] = far
+        pts += [block, block]
+    yield Dataset(np.concatenate(pts)), eps
 
 
 def _tiny_and_huge_lines():
@@ -191,12 +220,25 @@ class TestTiles:
             _assert_tiles_match_naive(ds, eps)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_cell_edges(self, dim, scale):
+        for ds, eps in _cell_edge_cases(dim, scale):
+            _assert_tiles_match_naive(ds, eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_random_lattice(self, dim):
-        # more points than one strip, on a lattice that puts pairs at exactly eps
+        # more points than one tile, on a lattice that puts pairs at exactly eps
         rng = np.random.default_rng(dim)
         ds = Dataset(rng.integers(0, 12, size=(300, dim)) * 0.25)
         for eps in (0.25, 2**0.5 * 0.25, 1.0):
             _assert_tiles_match_naive(ds, eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_and_single_point(self, dim):
+        for n in (0, 1):
+            idx = build_index(Dataset(np.zeros((n, dim))))
+            for roots in (None, lambda p: p):
+                assert [rows.tolist() for rows, _, _ in idx.tiles(1.0, roots)] == [[0]] * n
 
     def test_axis_with_zero_spread(self):
         rng = np.random.default_rng(7)
@@ -219,6 +261,27 @@ class TestTiles:
         for bad in (0.0, -1.0, math.nan, math.inf, None, "x"):
             with pytest.raises(ParamError):
                 next(idx.tiles(bad))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_a_kd_tree_away_from_ties(self, dim):
+        # an oracle that shares no code with the sweep: every pair on which
+        # the tiles and the tree disagree must sit at eps to within 1e-9
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(dim)
+        coords = np.concatenate([rng.uniform(0, 1, size=(8000, dim)), rng.normal(0.5, 0.1, size=(2000, dim))])
+        eps = 0.02 if dim == 2 else 0.06
+        n = len(coords)
+        pairs = []
+        for rows, cols, d2 in build_index(Dataset(coords)).tiles(eps):
+            i, j = np.nonzero(d2 <= eps * eps)
+            pairs.append(rows[i] * n + cols[j])
+        ours = np.concatenate(pairs)
+        hoods = spatial.cKDTree(coords).query_ball_point(coords, eps)
+        theirs = np.concatenate([i * n + np.asarray(h, dtype=np.int64) for i, h in enumerate(hoods)])
+        assert ours.size > 10 * n
+        differ = np.setxor1d(ours, theirs)
+        d2 = ((coords[differ // n] - coords[differ % n]) ** 2).sum(axis=1)
+        assert np.all(np.abs(d2 - eps * eps) <= 1e-9 * eps * eps)
 
 
 def _sorted_d2(ds):

@@ -140,6 +140,29 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             _single_blob(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("noise_bounds", ((0, 1, 2), (0, 1))),
+            ("noise_bounds", 5),
+            ("noise_bounds", None),
+            ("noise_bounds", ((0, 1), 5)),
+            ("blobs", None),
+            ("blobs", ((0, 0),)),
+        ],
+    )
+    def test_malformed_scenario_shapes(self, field, bad):
+        # each shape is checked before it is unpacked: no raw ValueError,
+        # TypeError or AttributeError
+        spec = dict(blobs=(BlobSpec(Point((0.0, 0.0)), 1.0, 5),), noise_count=0, noise_bounds=WIDE, seed=1)
+        with pytest.raises(InvalidSpec):
+            ScenarioSpec(**{**spec, field: bad})
+
+    @pytest.mark.parametrize("center", [None, 5, ("a", 1.0), ()])
+    def test_malformed_blob_center(self, center):
+        with pytest.raises(InvalidSpec):
+            BlobSpec(center, 1.0, 5)
+
     def test_inverted_bounds(self):
         with pytest.raises(InvalidSpec, match="bound"):
             ScenarioSpec(
