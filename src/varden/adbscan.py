@@ -187,8 +187,9 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     core_d2 = kth_d2(index, min_pts, _SQUARE_OVERFLOWS)
     radii = np.sqrt(core_d2[members])
     member_blobs = truth[members]
-    blob_ids = np.unique(member_blobs)
-    medians = [float(np.median(radii[member_blobs == b])) for b in blob_ids]
+    blobs = np.sort(member_blobs)
+    blob_ids = blobs[np.append(True, blobs[1:] != blobs[:-1])]  # np.unique imports numpy.ma
+    medians = [_median(radii[member_blobs == b]) for b in blob_ids]
     densest = int(np.argmin(medians))  # argmin takes the first minimum: lowest blob id
     target = np.flatnonzero(truth == blob_ids[densest])
 
@@ -197,7 +198,7 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
         clustered = t[t != NOISE]
         if clustered.size < 0.9 * target.size:
             return False
-        return np.unique(clustered).size == 1
+        return bool((clustered == clustered[0]).all())
 
     # Double from the blob's own density scale so probes stay cheap. The
     # doubling ends, with hi finite: len(ds) >= min_pts, so once eps * eps
@@ -220,3 +221,10 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
         else:
             lo = mid
     return hi
+
+
+def _median(v: np.ndarray) -> float:
+    """np.median of a nonempty v without NaN, by sorting: np.median imports numpy.ma."""
+    s = np.sort(v)
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)

@@ -31,7 +31,7 @@ from .dataio import (
     write_manifest,
 )
 from .dbscan import run_dbscan
-from .metrics import LengthMismatch, MissingGroundTruth, evaluate
+from .metrics import EvalReport, LengthMismatch, MissingGroundTruth, evaluate
 from .model import (
     AdbscanParams,
     DataError,
@@ -101,23 +101,15 @@ def _cmd_dbscan(args) -> int:
     return 0
 
 
+# The adbscan manifest's params, in record order; a None value is left out.
+_ADBSCAN_RECORD = (
+    "k", "eps0", "min_pts0", "step", "accept_fraction", "residual_fraction", "max_iters",
+    "eps_cap", "eps_step", "min_pts_step",
+)
+
+
 def _adbscan_param_record(params: AdbscanParams) -> dict:
-    rec = {
-        "k": params.k,
-        "eps0": params.eps0,
-        "min_pts0": params.min_pts0,
-        "step": params.step,
-        "accept_fraction": params.accept_fraction,
-        "residual_fraction": params.residual_fraction,
-        "max_iters": params.max_iters,
-    }
-    if params.eps_cap is not None:
-        rec["eps_cap"] = params.eps_cap
-    if params.eps_step is not None:
-        rec["eps_step"] = params.eps_step
-    if params.min_pts_step is not None:
-        rec["min_pts_step"] = params.min_pts_step
-    return rec
+    return {key: v for key in _ADBSCAN_RECORD if (v := getattr(params, key)) is not None}
 
 
 def _cmd_adbscan(args) -> int:
@@ -197,51 +189,33 @@ def _cmd_compare(args) -> int:
     write_dataset_csv(labeled, out / "dataset.csv")
     h = dataset_hash(ds)
 
+    def write_run(name: str, labeling: Labeling, params: dict, **trace) -> EvalReport:
+        """Write name's CSV, SVG and manifest under out; return its evaluation."""
+        write_csv(ds, labeling, out / f"{name}.csv")
+        render_svg(ds, labeling, out / f"{name}.svg")
+        report = evaluate(labeled, labeling)
+        manifest = RunManifest(f"compare/{name}", __version__, h, params, report=report, **trace)
+        write_manifest(manifest, out / f"{name}_manifest.txt")
+        return report
+
     tuned = tune_eps_densest(labeled, min_pts=10)
     scan = run_dbscan(ds, DbscanParams(tuned, 10))
-    write_csv(ds, scan, out / "dbscan.csv")
-    render_svg(ds, scan, out / "dbscan.svg")
-    scan_report = evaluate(labeled, scan)
-    write_manifest(
-        RunManifest(
-            command="compare/dbscan",
-            tool_version=__version__,
-            dataset_hash=h,
-            params={"scenario": args.scenario, "seed": seed, "eps": tuned, "min_pts": 10},
-            report=scan_report,
-        ),
-        out / "dbscan_manifest.txt",
-    )
-
+    scan_report = write_run("dbscan", scan, {"scenario": args.scenario, "seed": seed, "eps": tuned, "min_pts": 10})
     aparams = AdbscanParams(k=len(spec.blobs))
     result = run_adbscan(ds, aparams)
-    write_csv(ds, result, out / "adbscan.csv")
-    render_svg(ds, result, out / "adbscan.svg")
-    result_report = evaluate(labeled, result)
-    arec = _adbscan_param_record(aparams)
-    arec["scenario"] = args.scenario
-    arec["seed"] = seed
-    write_manifest(
-        RunManifest(
-            command="compare/adbscan",
-            tool_version=__version__,
-            dataset_hash=h,
-            params=arec,
-            trace=result.trace,
-            stop_reason=result.stop_reason,
-            report=result_report,
-        ),
-        out / "adbscan_manifest.txt",
+    result_report = write_run(
+        "adbscan",
+        result,
+        {**_adbscan_param_record(aparams), "scenario": args.scenario, "seed": seed},
+        trace=result.trace,
+        stop_reason=result.stop_reason,
     )
 
-    print(
-        f"dbscan: eps={tuned!r} min_pts=10 -> {scan_report.num_clusters_found} clusters, "
-        f"ari={scan_report.ari!r}"
-    )
-    print(
-        f"adbscan: k={aparams.k} defaults -> {result_report.num_clusters_found} clusters, "
-        f"ari={result_report.ari!r}"
-    )
+    for name, setting, report in (
+        ("dbscan", f"eps={tuned!r} min_pts=10", scan_report),
+        ("adbscan", f"k={aparams.k} defaults", result_report),
+    ):
+        print(f"{name}: {setting} -> {report.num_clusters_found} clusters, ari={report.ari!r}")
     return 0
 
 

@@ -2,8 +2,17 @@
 
 All output is byte-deterministic for fixed inputs: floats are serialized
 with repr() (shortest decimal that round-trips exactly), rows follow
-dataset order, and manifests hold no timestamps. The manifest is a flat
-``key value`` text file that re-parses losslessly.
+dataset order, and manifests hold no timestamps. Both CSV writers, and
+render_svg for its point circles, go through ``_write_blocks``, which
+writes a file's rows ``_BLOCK`` at a time, each block formatted from its
+tolist() columns.
+
+The manifest is a flat ``key value`` text file that re-parses losslessly.
+The tokens of a trace line are defined once, in ``_TRACE_FIELDS``, which
+both format_manifest and parse_manifest read; parse_manifest raises
+DataError for what format_manifest never writes (unknown keys, trace
+tokens other than the table's, an ``accepted`` other than 0 or 1, purity
+lines not numbered 0..k-1).
 """
 from __future__ import annotations
 
@@ -135,13 +144,13 @@ def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
         PointClass(int(bad[0]))  # raises the ValueError the enum gives for a bad class code
     tokens = tuple(c.token for c in PointClass)
     coords, labels = dataset.coords, labeling.labels
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("x,y,cluster,class\n")
-        for s in range(0, len(dataset), _BLOCK):
-            b = slice(s, s + _BLOCK)
-            xs, ys = coords[b].T.tolist()
-            rows = zip(xs, ys, labels[b].tolist(), classes[b].tolist())
-            out.write("".join(f"{x!r},{y!r},{lab},{tokens[c]}\n" for x, y, lab, c in rows))
+
+    def rows(b: slice) -> str:
+        xs, ys = coords[b].T.tolist()
+        cells = zip(xs, ys, labels[b].tolist(), classes[b].tolist())
+        return "".join(f"{x!r},{y!r},{lab},{tokens[c]}\n" for x, y, lab, c in cells)
+
+    _write_blocks(path, len(dataset), "x,y,cluster,class\n", rows)
 
 
 def write_dataset_csv(d: LabeledDataset, path) -> None:
@@ -149,13 +158,26 @@ def write_dataset_csv(d: LabeledDataset, path) -> None:
     if d.dataset.dim != 2:
         raise DataError(f"CSV schema is 2-d, dataset is {d.dataset.dim}-d")
     coords, truth = d.dataset.coords, d.truth
+
+    def rows(b: slice) -> str:
+        xs, ys = coords[b].T.tolist()
+        cells = zip(xs, ys, truth[b].tolist())
+        return "".join(f"{x!r},{y!r},{NOISE_TOKEN if t == NOISE else t}\n" for x, y, t in cells)
+
+    _write_blocks(path, len(d), "x,y,label\n", rows)
+
+
+def _write_blocks(path, n: int, head: str, rows, tail: str = "") -> None:
+    """Write head, then rows(b) for each slice b of up to _BLOCK of the n rows, in order, then tail.
+
+    Formatting a block at a time from its tolist() columns keeps the memory
+    one block's text and the work off per-row numpy scalars.
+    """
     with Path(path).open("w", encoding="utf-8") as out:
-        out.write("x,y,label\n")
-        for s in range(0, len(d), _BLOCK):
-            b = slice(s, s + _BLOCK)
-            xs, ys = coords[b].T.tolist()
-            rows = zip(xs, ys, truth[b].tolist())
-            out.write("".join(f"{x!r},{y!r},{NOISE_TOKEN if t == NOISE else t}\n" for x, y, t in rows))
+        out.write(head)
+        for s in range(0, n, _BLOCK):
+            out.write(rows(slice(s, s + _BLOCK)))
+        out.write(tail)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -222,6 +244,27 @@ class RunManifest:
     report: EvalReport | None = None
 
 
+def _parse_flag(s: str) -> bool:
+    return {"0": False, "1": True}[s]
+
+
+# One row per token of a manifest trace line, in line order: its key, the
+# IterationRecord field it holds, and the parser that reads the value back.
+_TRACE_FIELDS = (
+    ("eps", "eps", float),
+    ("min_pts", "min_pts", int),
+    ("min_pts_real", "min_pts_real", float),
+    ("found", "n_clusters_found", int),
+    ("largest", "largest_size", int),
+    ("accepted", "accepted", _parse_flag),
+    ("accepted_size", "accepted_size", int),
+    ("remaining", "remaining", int),
+)
+_TRACE_RE = re.compile(" ".join(rf"{key}=(\S+)" for key, _, _ in _TRACE_FIELDS))
+# The EvalReport fields a manifest report line holds, besides purity.<i>, with their parsers.
+_REPORT_FIELDS = {"num_clusters_found": int, "ari": float, "noise_fraction": float}
+
+
 def format_manifest(m: RunManifest) -> str:
     """Flat `key value` lines; see parse_manifest for the schema."""
     lines = [
@@ -231,14 +274,9 @@ def format_manifest(m: RunManifest) -> str:
     ]
     for key, value in m.params.items():
         lines.append(f"params.{key} {_format_value(value)}")
-    if m.trace is not None:
-        for rec in m.trace:
-            lines.append(
-                f"trace.{rec.index} eps={rec.eps!r} min_pts={rec.min_pts} "
-                f"min_pts_real={rec.min_pts_real!r} found={rec.n_clusters_found} "
-                f"largest={rec.largest_size} accepted={int(rec.accepted)} "
-                f"accepted_size={rec.accepted_size} remaining={rec.remaining}"
-            )
+    for rec in m.trace or ():
+        tokens = (f"{key}={_format_value(getattr(rec, field))}" for key, field, _ in _TRACE_FIELDS)
+        lines.append(f"trace.{rec.index} {' '.join(tokens)}")
     if m.stop_reason is not None:
         lines.append(f"stop_reason {m.stop_reason}")
     if m.report is not None:
@@ -277,43 +315,31 @@ def parse_manifest(text: str) -> RunManifest:
             elif key.startswith("params."):
                 params[key[len("params.") :]] = _parse_value(value)
             elif key.startswith("trace."):
-                kv = dict(tok.split("=", 1) for tok in value.split())
-                trace.append(
-                    IterationRecord(
-                        index=int(key[len("trace.") :]),
-                        eps=float(kv["eps"]),
-                        min_pts=int(kv["min_pts"]),
-                        min_pts_real=float(kv["min_pts_real"]),
-                        n_clusters_found=int(kv["found"]),
-                        largest_size=int(kv["largest"]),
-                        accepted=bool(int(kv["accepted"])),
-                        accepted_size=int(kv["accepted_size"]),
-                        remaining=int(kv["remaining"]),
-                    )
-                )
+                match = _TRACE_RE.fullmatch(value)
+                if match is None:
+                    raise ValueError("trace fields differ from _TRACE_FIELDS")
+                fields = {field: parse(v) for (_, field, parse), v in zip(_TRACE_FIELDS, match.groups())}
+                trace.append(IterationRecord(index=int(key[len("trace.") :]), **fields))
             elif key.startswith("report.purity."):
                 purities[int(key[len("report.purity.") :])] = float(value)
-            elif key == "report.num_clusters_found":
-                report_fields["num_clusters_found"] = int(value)
             elif key.startswith("report."):
-                report_fields[key[len("report.") :]] = float(value)
+                name = key[len("report.") :]
+                report_fields[name] = _REPORT_FIELDS[name](value)
             else:
                 raise DataError(f"unknown manifest key {key!r}")
         except (KeyError, ValueError) as err:
             raise DataError(f"malformed manifest line {line!r}") from err
     if command is None or tool_version is None or ds_hash is None:
         raise DataError("manifest missing command/tool_version/dataset_hash")
+    if sorted(purities) != list(range(len(purities))):
+        raise DataError(f"manifest report purities are numbered {sorted(purities)}, not 0..k-1")
     report = None
     if report_fields or purities:
         try:
-            report = EvalReport(
-                num_clusters_found=report_fields["num_clusters_found"],
-                ari=report_fields["ari"],
-                noise_fraction=report_fields["noise_fraction"],
-                per_cluster_purity=tuple(purities[i] for i in sorted(purities)),
-            )
+            fields = {name: report_fields[name] for name in _REPORT_FIELDS}
         except KeyError as err:
             raise DataError(f"manifest report has no {err.args[0]} line") from err
+        report = EvalReport(**fields, per_cluster_purity=tuple(purities[i] for i in range(len(purities))))
     return RunManifest(
         command=command,
         tool_version=tool_version,

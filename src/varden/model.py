@@ -149,9 +149,14 @@ def validate_dataset(ds: Dataset) -> None:
         raise DataError("dataset is empty")
     if ds.dim < 1:
         raise DataError("dataset must have at least one coordinate axis")
-    if not np.isfinite(ds.coords).all():
-        bad = int(np.flatnonzero(~np.isfinite(ds.coords).all(axis=1))[0])
-        raise DataError(f"non-finite coordinate at point {bad}")
+    check_finite(ds)
+
+
+def check_finite(ds: Dataset) -> None:
+    """Raise DataError naming the first point of ds with a non-finite coordinate."""
+    finite = np.isfinite(ds.coords).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite coordinate at point {int(np.flatnonzero(~finite)[0])}")
 
 
 def check_int(value, name: str, low: int, high: int | None = None, error: type[VardenError] = ParamError) -> int:
@@ -249,8 +254,8 @@ def validate_labeling(lab: Labeling, n: int | None = None) -> None:
         raise DataError("cluster ids below -1")
     top = int(lab.labels.max())
     if top >= 0:
-        present = np.unique(lab.labels[lab.labels >= 0])
-        if present.size != top + 1:
+        # ids 0..top need top + 1 points, which bounds the count array
+        if top >= len(lab) or not np.bincount(lab.labels[lab.labels >= 0]).all():
             raise DataError("cluster ids are not contiguous from 0")
     noise_by_label = lab.labels == NOISE
     noise_by_class = lab.classes == int(PointClass.NOISE)

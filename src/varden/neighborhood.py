@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, DataError, check_float
+from .model import Dataset, DataError, check_finite, check_float
 
 _TILE = 32  # query rows per tile
 _CHUNK = 256  # tiles or blocks whose candidate runs are looked up together
@@ -95,6 +95,7 @@ class NeighborIndex:
     def __init__(self, dataset: Dataset) -> None:
         if dataset.dim == 0:
             raise DataError("cannot index points with no coordinate axes")
+        check_finite(dataset)
         self.dataset = dataset
         spread = np.ptp(dataset.coords, axis=0) if len(dataset) else np.zeros(dataset.dim)
         self._axis = int(np.argmax(spread))
@@ -253,7 +254,7 @@ class _Grid:
 
 
 def build_index(dataset: Dataset) -> NeighborIndex:
-    """Build the spatial index used by the clustering passes."""
+    """Build the spatial index used by the clustering passes; DataError for a non-finite coordinate."""
     return NeighborIndex(dataset)
 
 

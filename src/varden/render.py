@@ -1,16 +1,17 @@
 """Deterministic SVG scatter plots of 2-D clusterings.
 
-No plotting library: the file is written line by line in a fixed order, so
-identical inputs always give identical bytes. Clusters cycle through a
-fixed 12-color palette, noise is gray, core points draw at full radius and
-border/noise points at 70%, and a legend lists cluster sizes.
+No plotting library: the file is the header, one circle per point in
+dataset order, then the legend, with the circles formatted a block of
+points at a time through dataio's chunked writer, so identical inputs
+always give identical bytes. Clusters cycle through a fixed 12-color
+palette, noise is gray, core points draw at full radius and border/noise
+points at 70%, and a legend lists cluster sizes.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
+from .dataio import _write_blocks
 from .model import DataError, Dataset, Labeling, NOISE, PointClass
 
 PALETTE = (
@@ -28,7 +29,6 @@ PALETTE = (
     "#98df8a",
 )
 NOISE_COLOR = "#999999"
-_BLOCK = 256  # points formatted per write
 
 
 class UnsupportedDimension(DataError):
@@ -85,8 +85,8 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
         )
     legend.append("</svg>")
 
-    # The point circles sit between the two, written a block of points at a
-    # time from tolist() columns; flip - y is the same IEEE subtraction in
+    # The point circles sit between the two, formatted a block of points at
+    # a time from tolist() columns; flip - y is the same IEEE subtraction in
     # numpy as in Python.
     flip = ymin + ymax  # mirror y so larger values draw higher
     fills = PALETTE + (NOISE_COLOR,)
@@ -94,14 +94,12 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
     radius = (_fmt(r_small), _fmt(r_full))
     is_core = labeling.classes == int(PointClass.CORE)
     coords = dataset.coords
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("".join(line + "\n" for line in head))
-        for s in range(0, len(dataset), _BLOCK):
-            b = slice(s, s + _BLOCK)
-            xs, ys = coords[b, 0].tolist(), (flip - coords[b, 1]).tolist()
-            points = zip(xs, ys, is_core[b].tolist(), fill_of[b].tolist())
-            out.write("".join(
-                f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{radius[c]}" fill="{fills[f]}"/>\n'
-                for x, y, c, f in points
-            ))
-        out.write("".join(line + "\n" for line in legend))
+
+    def circles(b: slice) -> str:
+        xs, ys = coords[b, 0].tolist(), (flip - coords[b, 1]).tolist()
+        return "".join(
+            f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{radius[c]}" fill="{fills[f]}"/>\n'
+            for x, y, c, f in zip(xs, ys, is_core[b].tolist(), fill_of[b].tolist())
+        )
+
+    _write_blocks(path, len(dataset), "\n".join(head) + "\n", circles, "\n".join(legend) + "\n")

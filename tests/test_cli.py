@@ -1,7 +1,13 @@
 """CLI flows through cli_main: subcommand behavior, exit codes, env seed."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import varden
 from varden.cli import cli_main, tune_eps_densest
 from varden.dataio import parse_manifest, read_csv
 from varden.model import DataError, Dataset, LabeledDataset, NOISE
@@ -234,3 +240,50 @@ class TestTopLevel:
 
     def test_version_exits_zero(self, capsys):
         assert cli_main(["--version"]) == 0
+
+
+# Runs cli_main on argv[2:] in a fresh interpreter and writes to argv[1] the
+# modules it loaded, one a line: those present after it minus those present
+# before varden was imported (site hooks may load packages of their own).
+_MODULES_LOADED = """
+import sys
+before = set(sys.modules)
+from varden.cli import cli_main
+code = cli_main(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    f.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--scenario", "two_equal", "--out", "g.csv"],
+            ["dbscan", "--in", "{data}", "--out", "p.csv", "--svg", "p.svg"],
+            ["adbscan", "--in", "{data}", "--k", "2", "--out", "a.csv", "--trace", "a.txt"],
+            ["eval", "--in", "{data}", "--pred", "{pred}", "--report", "r.txt"],
+            ["compare", "--scenario", "two_equal", "--out-dir", "cmp"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_runs_load_only_numpy_and_the_stdlib(self, tmp_path, dataset_csv, argv):
+        # numpy is the one runtime dependency, and numpy.ma costs a CLI run
+        # about 20 ms to import
+        pred = tmp_path / "pred.csv"
+        assert cli_main(["dbscan", "--in", str(dataset_csv), "--out", str(pred)]) == 0
+        argv = [a.format(data=dataset_csv, pred=pred) for a in argv]
+        src = str(Path(varden.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        listing = tmp_path / "modules.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_LOADED, str(listing), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = listing.read_text().split()
+        assert "varden.cli" in loaded
+        allowed = set(sys.stdlib_module_names) | {"numpy", "varden"}
+        assert [m for m in loaded if m.partition(".")[0] not in allowed] == []
+        assert "numpy.ma" not in loaded

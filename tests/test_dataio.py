@@ -405,6 +405,12 @@ def _full_manifest():
     )
 
 
+# the first trace line format_manifest writes for _full_manifest()
+_TRACE_LINE = (
+    "trace.1 eps=0.5 min_pts=10 min_pts_real=10.0 found=3 largest=120 accepted=1 accepted_size=120 remaining=380"
+)
+
+
 class TestManifest:
     def test_round_trip_full(self):
         m = _full_manifest()
@@ -423,6 +429,9 @@ class TestManifest:
         for line in text.strip().splitlines():
             key, sep, value = line.partition(" ")
             assert sep == " " and key and value
+
+    def test_trace_line_pinned(self):
+        assert _TRACE_LINE in format_manifest(_full_manifest()).splitlines()
 
     def test_hash_rendered_as_hex(self):
         text = format_manifest(_full_manifest())
@@ -453,6 +462,11 @@ class TestManifest:
             ("report.ari 0.5\n", "no num_clusters_found"),
             ("report.purity.0 0.5\n", "no num_clusters_found"),
             ("report.num_clusters_found 2\nreport.ari 0.5\n", "no noise_fraction"),
+            ("report.mystery 3\n", "report.mystery 3"),
+            ("report.purity.0 0.5\nreport.purity.5 0.5\n", r"numbered \[0, 5\]"),
+            ("report.purity.-1 0.5\n", r"numbered \[-1\]"),
+            (f"{_TRACE_LINE} bogus=9\n", "bogus=9"),
+            (_TRACE_LINE.replace("accepted=1", "accepted=7") + "\n", "accepted=7"),
         ],
     )
     def test_malformed_line_rejected(self, lines, match):

@@ -240,6 +240,20 @@ class TestTiles:
             for roots in (None, lambda p: p):
                 assert [rows.tolist() for rows, _, _ in idx.tiles(1.0, roots)] == [[0]] * n
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # the message validate_dataset gives, not a RuntimeWarning from the grid
+        ds = Dataset([[0.0, 0.0], [1.0, bad], [bad, 1.0], [0.5, 0.5]])
+        uses = (
+            build_index,
+            lambda d: list(build_index(d).tiles(1.0)),
+            lambda d: region_query(build_index(d), 0, 1.0),
+            lambda d: kth_d2(build_index(d), 2, 1.0),
+        )
+        for use in uses:
+            with pytest.raises(DataError, match="non-finite coordinate at point 1"):
+                use(ds)
+
     def test_axis_with_zero_spread(self):
         rng = np.random.default_rng(7)
         shared_y = rng.integers(0, 30, size=(100, 2)).astype(float)

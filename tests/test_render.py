@@ -6,7 +6,7 @@ import pytest
 
 from adversarial import adversarial_scene
 from varden.model import Dataset, Labeling, NOISE, PointClass
-from varden import render
+from varden import dataio
 from varden.render import NOISE_COLOR, PALETTE, UnsupportedDimension, render_svg
 
 CIRCLE_RE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" fill="([^"]+)"/>')
@@ -186,7 +186,7 @@ def test_matches_the_per_point_loop_byte_for_byte(tmp_path, monkeypatch, seed, b
     # palette cycles), noise, core and border points, and class codes other
     # than the three (drawn small, as any non-core point); blocks of 7 points
     # end inside the scene, one of 4096 holds it whole
-    monkeypatch.setattr(render, "_BLOCK", block)
+    monkeypatch.setattr(dataio, "_BLOCK", block)
     ds, lab = adversarial_scene(seed)
     if seed % 2:
         lab = Labeling(lab.labels, np.where(lab.classes == 1, 5, lab.classes))
