@@ -290,38 +290,49 @@ def write_manifest(m: RunManifest, path) -> None:
 
 
 def parse_manifest(text: str) -> RunManifest:
-    """Inverse of format_manifest; parse(format(m)) == m exactly."""
+    """Inverse of format_manifest; parse(format(m)) == m exactly.
+
+    DataError for what format_manifest never writes, among it a repeated
+    key, trace lines not numbered 1..n in order, and a dataset_hash outside
+    [0, 2^64).
+    """
     command = tool_version = None
     ds_hash = None
     params: dict = {}
     trace: list[IterationRecord] = []
     stop_reason = None
     report_fields: dict = {}
-    purities: dict[int, float] = {}
+    purities: list[tuple[int, float]] = []
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         try:
             key, _, value = line.partition(" ")
+            if key in seen:
+                raise DataError(f"repeated manifest key {key!r}")
+            seen.add(key)
             if key == "command":
                 command = value
             elif key == "tool_version":
                 tool_version = value
             elif key == "dataset_hash":
                 ds_hash = int(value, 16)
+                if not 0 <= ds_hash < 1 << 64:
+                    raise ValueError("dataset_hash outside [0, 2^64)")
             elif key == "stop_reason":
                 stop_reason = value
             elif key.startswith("params."):
                 params[key[len("params.") :]] = _parse_value(value)
             elif key.startswith("trace."):
                 match = _TRACE_RE.fullmatch(value)
-                if match is None:
-                    raise ValueError("trace fields differ from _TRACE_FIELDS")
+                if match is None or key != f"trace.{len(trace) + 1}":
+                    raise ValueError("trace fields differ from _TRACE_FIELDS, or lines from 1..n")
                 fields = {field: parse(v) for (_, field, parse), v in zip(_TRACE_FIELDS, match.groups())}
-                trace.append(IterationRecord(index=int(key[len("trace.") :]), **fields))
+                trace.append(IterationRecord(index=len(trace) + 1, **fields))
             elif key.startswith("report.purity."):
-                purities[int(key[len("report.purity.") :])] = float(value)
+                purities.append((int(key[len("report.purity.") :]), float(value)))
             elif key.startswith("report."):
                 name = key[len("report.") :]
                 report_fields[name] = _REPORT_FIELDS[name](value)
@@ -331,15 +342,17 @@ def parse_manifest(text: str) -> RunManifest:
             raise DataError(f"malformed manifest line {line!r}") from err
     if command is None or tool_version is None or ds_hash is None:
         raise DataError("manifest missing command/tool_version/dataset_hash")
-    if sorted(purities) != list(range(len(purities))):
-        raise DataError(f"manifest report purities are numbered {sorted(purities)}, not 0..k-1")
+    purities.sort()
+    numbers = [i for i, _ in purities]
+    if numbers != list(range(len(numbers))):
+        raise DataError(f"manifest report purities are numbered {numbers}, not 0..k-1")
     report = None
     if report_fields or purities:
         try:
             fields = {name: report_fields[name] for name in _REPORT_FIELDS}
         except KeyError as err:
             raise DataError(f"manifest report has no {err.args[0]} line") from err
-        report = EvalReport(**fields, per_cluster_purity=tuple(purities[i] for i in range(len(purities))))
+        report = EvalReport(**fields, per_cluster_purity=tuple(v for _, v in purities))
     return RunManifest(
         command=command,
         tool_version=tool_version,

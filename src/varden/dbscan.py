@@ -27,6 +27,19 @@ pair within hi is measured once: it joins the components at every eps of
 the bracket when its mutual reachability max(d2, core_d2[i], core_d2[j]) is
 at most lo * lo, and is otherwise kept for labeling(eps) while one of its
 ends is core at hi.
+
+The four predicates (classify_point, is_directly_density_reachable,
+is_density_reachable, is_density_connected) state DBSCAN's definitions
+point by point, as the oracle that run_dbscan is audited against, so they
+use region_query alone, never the tiles or EpsBracket. They share one
+prologue (_indexed: DataError for a bad dataset or point id), one ball
+lookup (_Balls: each ball queried at most once per call, with the core
+test on top) and one walk (_Balls.reach: breadth first over the core
+points, true once a visited core's ball holds the target). q reaches p
+when p == q or q is core and the walk from q finds p; p and q are
+connected when the walk from the cores in p's ball finds q, since a core
+whose ball holds q is one in q's ball: d2 is symmetric bit for bit, as
+fl(a - b) == -fl(b - a).
 """
 from __future__ import annotations
 
@@ -36,11 +49,13 @@ from collections import deque
 import numpy as np
 
 from .model import (
+    DataError,
     Dataset,
     DbscanParams,
     Labeling,
     NOISE,
     PointClass,
+    check_int,
     validate_dataset,
 )
 from .neighborhood import NeighborIndex, _cells, build_index, region_query
@@ -93,9 +108,7 @@ def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | No
     border point's core neighbors. Cluster ids and border ownership follow
     index order, as in the module docstring.
     """
-    validate_dataset(dataset)
-    if index is None:
-        index = build_index(dataset)
+    (index,) = _indexed(dataset, index)
     eps = params.eps
     return EpsBracket(index, params.min_pts, eps, eps).labeling(eps)
 
@@ -280,6 +293,47 @@ def _closest_pairs(parent: np.ndarray, i: np.ndarray, j: np.ndarray, d2: np.ndar
     return i[order], j[order], d2[order]
 
 
+def _indexed(dataset: Dataset, index: NeighborIndex | None, *points) -> tuple:
+    """(index, *points): the index, built when None, and each point id as an int.
+
+    DataError for a dataset that validate_dataset rejects or an id outside
+    [0, n); a numpy integer, or a float with an integer value, is an id.
+    """
+    validate_dataset(dataset)
+    ids = [check_int(p, "point index", 0, len(dataset), DataError) for p in points]
+    return (build_index(dataset) if index is None else index, *ids)
+
+
+class _Balls(dict):
+    """Each point's eps-ball, from region_query at most once, with the core test on top."""
+
+    def __init__(self, index: NeighborIndex, params: DbscanParams) -> None:
+        self.index, self.params = index, params
+
+    def __missing__(self, i: int) -> list[int]:
+        ball = self[i] = region_query(self.index, i, self.params.eps).tolist()
+        return ball
+
+    def core(self, i: int) -> bool:
+        return len(self[i]) >= self.params.min_pts
+
+    def reach(self, cores: list[int], p: int) -> bool:
+        """True when p lies in the ball of a core point that a chain of core
+        points, each in the last one's ball, links to one of cores (all core).
+
+        One breadth-first walk over the core points, from cores.
+        """
+        seen, queue = set(cores), deque(cores)
+        while queue:
+            ball = self[queue.popleft()]
+            if p in ball:
+                return True
+            fresh = [r for r in ball if r not in seen and self.core(r)]
+            seen.update(fresh)
+            queue.extend(fresh)
+        return False
+
+
 def classify_point(
     dataset: Dataset, i: int, params: DbscanParams, index: NeighborIndex | None = None
 ) -> PointClass:
@@ -287,27 +341,20 @@ def classify_point(
 
     BORDER means not core itself but inside some core point's eps-ball.
     """
-    validate_dataset(dataset)
-    if index is None:
-        index = build_index(dataset)
-    hood = region_query(index, i, params.eps)
-    if hood.size >= params.min_pts:
+    index, i = _indexed(dataset, index, i)
+    balls = _Balls(index, params)
+    if balls.core(i):
         return PointClass.CORE
-    for j in hood:
-        if region_query(index, int(j), params.eps).size >= params.min_pts:
-            return PointClass.BORDER
-    return PointClass.NOISE
+    return PointClass.BORDER if any(balls.core(j) for j in balls[i]) else PointClass.NOISE
 
 
 def is_directly_density_reachable(
     dataset: Dataset, p: int, q: int, params: DbscanParams, index: NeighborIndex | None = None
 ) -> bool:
     """True when p sits in q's eps-ball and q is core (asymmetric)."""
-    validate_dataset(dataset)
-    if index is None:
-        index = build_index(dataset)
-    hood = region_query(index, q, params.eps)
-    return hood.size >= params.min_pts and p in hood
+    index, p, q = _indexed(dataset, index, p, q)
+    balls = _Balls(index, params)
+    return balls.core(q) and p in balls[q]
 
 
 def is_density_reachable(
@@ -316,34 +363,12 @@ def is_density_reachable(
     """True when a chain of direct steps leads from q to p.
 
     Every chain link but the last must be core, so this walks the core
-    points connected to q and asks whether any of them holds p in its ball.
+    points linked to q and asks whether any of them holds p in its ball.
     The zero-step chain makes the relation reflexive.
     """
-    validate_dataset(dataset)
-    if p == q:
-        return True
-    if index is None:
-        index = build_index(dataset)
-    eps, min_pts = params.eps, params.min_pts
-
-    hood_q = region_query(index, q, eps)
-    if hood_q.size < min_pts:
-        return False
-    seen = {q}
-    queue = deque([(q, hood_q)])
-    while queue:
-        _, hood = queue.popleft()
-        if p in hood:
-            return True
-        for r in hood:
-            r = int(r)
-            if r in seen:
-                continue
-            seen.add(r)
-            hood_r = region_query(index, r, eps)
-            if hood_r.size >= min_pts:
-                queue.append((r, hood_r))
-    return False
+    index, p, q = _indexed(dataset, index, p, q)
+    balls = _Balls(index, params)
+    return p == q or (balls.core(q) and balls.reach([q], p))
 
 
 def is_density_connected(
@@ -351,40 +376,10 @@ def is_density_connected(
 ) -> bool:
     """True when some witness reaches both p and q by density (symmetric).
 
-    The witnesses able to reach p are exactly the core points whose
-    component (under core-to-core eps adjacency) touches p's ball, so the
-    check is one component walk seeded from p's adjacent cores.
+    The witnesses that reach p are the core points linked to a core point
+    in p's ball, and such a witness reaches q when q is in its ball, so the
+    check is one walk from the cores in p's ball.
     """
-    validate_dataset(dataset)
-    if index is None:
-        index = build_index(dataset)
-    eps, min_pts = params.eps, params.min_pts
-
-    def adjacent_cores(i: int) -> list[int]:
-        return [
-            int(j)
-            for j in region_query(index, i, eps)
-            if region_query(index, int(j), eps).size >= min_pts
-        ]
-
-    seeds_p = adjacent_cores(p)
-    if not seeds_p:
-        return False
-    targets_q = set(adjacent_cores(q))
-    if not targets_q:
-        return False
-
-    seen = set(seeds_p)
-    queue = deque(seeds_p)
-    while queue:
-        x = queue.popleft()
-        if x in targets_q:
-            return True
-        for r in region_query(index, x, eps):
-            r = int(r)
-            if r in seen:
-                continue
-            seen.add(r)
-            if region_query(index, r, eps).size >= min_pts:
-                queue.append(r)
-    return False
+    index, p, q = _indexed(dataset, index, p, q)
+    balls = _Balls(index, params)
+    return balls.reach([r for r in balls[p] if balls.core(r)], q)

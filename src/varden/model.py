@@ -5,6 +5,7 @@ contiguous integers starting at 0; ``NOISE`` (-1) marks unclustered points.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -31,6 +32,15 @@ class ParamError(VardenError):
     """Raised for parameter values outside their legal range."""
 
 
+@contextlib.contextmanager
+def _data_errors(what: str):
+    """Turn a raw TypeError, ValueError or OverflowError from converting what into a DataError."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as err:
+        raise DataError(f"malformed {what}: {err}") from err
+
+
 class PointClass(enum.IntEnum):
     """Role of a point in a density clustering."""
 
@@ -50,9 +60,11 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) < 1:
+        with _data_errors("point coordinates"):
+            coords = tuple(float(c) for c in self.coords)
+        if not coords:
             raise DataError("point must have at least one coordinate")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def x(self) -> float:
@@ -84,7 +96,8 @@ class Dataset:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=np.float64)
+        with _data_errors("coordinates"):
+            arr = np.asarray(self.coords, dtype=np.float64)
         if arr.ndim != 2:
             raise DataError(f"coordinates must be a 2-d array, got ndim={arr.ndim}")
         arr = arr.copy()
@@ -93,12 +106,11 @@ class Dataset:
 
     @classmethod
     def from_points(cls, points) -> "Dataset":
-        rows = []
-        for p in points:
-            rows.append(tuple(p))
+        with _data_errors("points"):
+            rows = [tuple(p) for p in points]
         if not rows:
             return cls(np.empty((0, 2)))
-        return cls(np.asarray(rows, dtype=np.float64))
+        return cls(rows)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -129,7 +141,8 @@ class LabeledDataset:
     truth: np.ndarray
 
     def __post_init__(self) -> None:
-        truth = np.asarray(self.truth, dtype=np.int64).copy()
+        with _data_errors("truth labels"):
+            truth = np.asarray(self.truth, dtype=np.int64).copy()
         if truth.shape != (len(self.dataset),):
             raise DataError(
                 f"truth labels cover {truth.shape} points, dataset has {len(self.dataset)}"

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, DataError, check_finite, check_float
+from .model import Dataset, DataError, _data_errors, check_finite, check_float
 
 _TILE = 32  # query rows per tile
 _CHUNK = 256  # tiles or blocks whose candidate runs are looked up together
@@ -322,7 +322,8 @@ def _query_coords(dataset: Dataset, q) -> np.ndarray:
         if not 0 <= i < len(dataset):
             raise DataError(f"query index {i} out of range for {len(dataset)} points")
         return dataset.coords[i]
-    qc = np.asarray(tuple(q), dtype=np.float64)
+    with _data_errors("query point"):
+        qc = np.asarray(tuple(q), dtype=np.float64)
     if qc.ndim != 1 or qc.shape[0] != dataset.dim:
         raise DataError(f"query point has dimension {qc.shape}, dataset is {dataset.dim}-d")
     if not np.isfinite(qc).all():

@@ -467,6 +467,16 @@ class TestManifest:
             ("report.purity.-1 0.5\n", r"numbered \[-1\]"),
             (f"{_TRACE_LINE} bogus=9\n", "bogus=9"),
             (_TRACE_LINE.replace("accepted=1", "accepted=7") + "\n", "accepted=7"),
+            ("command y\n", "repeated manifest key 'command'"),
+            ("params.a 1\nparams.a 2\n", "repeated manifest key 'params.a'"),
+            ("report.ari 0.5\nreport.ari 0.7\n", "repeated manifest key 'report.ari'"),
+            ("dataset_hash 0x1\n", "repeated manifest key 'dataset_hash'"),
+            ("dataset_hash -0x1\n", "dataset_hash -0x1"),
+            ("dataset_hash 0x10000000000000000\n", "dataset_hash 0x10000000000000000"),
+            ("report.purity.0 0.5\nreport.purity.00 0.5\n", r"numbered \[0, 0\]"),
+            (_TRACE_LINE.replace("trace.1", "trace.+7") + "\n", "trace.+7"),
+            (_TRACE_LINE + "\n" + _TRACE_LINE.replace("trace.1", "trace.-2") + "\n", "trace.-2"),
+            (_TRACE_LINE + "\n" + _TRACE_LINE.replace("trace.1", "trace.3") + "\n", "trace.3"),
         ],
     )
     def test_malformed_line_rejected(self, lines, match):

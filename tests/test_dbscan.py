@@ -1,9 +1,11 @@
 """Single-scan clustering: hand-worked fixtures, the reachability
-predicates, the classic invariants (order independence of the core
-partition, eps monotonicity of the core set), agreement with a
-breadth-first reference scan, an eps bracket's labelings equal to the
-scan's, certified dense cells at and beside their boundary, and bounded
-time and memory on coincident points."""
+predicates (their point ids, their agreement with a union-find
+reference, and their independence from the tiles and EpsBracket), the
+classic invariants (order independence of the core partition, eps
+monotonicity of the core set), agreement with a breadth-first reference
+scan, an eps bracket's labelings equal to the scan's, certified dense
+cells at and beside their boundary, and bounded time and memory on
+coincident points."""
 import math
 import time
 import tracemalloc
@@ -180,6 +182,46 @@ class TestReachability:
         params = DbscanParams(0.3, 3)
         assert not is_density_connected(ds, 3, 0, params)
         assert not is_density_connected(ds, 3, 3, params)
+
+    def test_predicates_stay_off_the_tiles_and_the_bracket(self, monkeypatch, bridge_ds):
+        # the definition-level oracle is stated over region_query alone, never over the engine it audits
+        def refuse(*args, **kwargs):
+            raise AssertionError("the predicates must not use tiles or EpsBracket")
+
+        monkeypatch.setattr(NeighborIndex, "tiles", refuse)
+        monkeypatch.setattr(dbscan, "EpsBracket", refuse)
+        with pytest.raises(AssertionError):
+            run_dbscan(bridge_ds, BRIDGE_PARAMS)
+        assert classify_point(bridge_ds, BRIDGE, BRIDGE_PARAMS) is PointClass.BORDER
+        assert is_directly_density_reachable(bridge_ds, BRIDGE, 0, BRIDGE_PARAMS)
+        assert not is_directly_density_reachable(bridge_ds, 0, BRIDGE, BRIDGE_PARAMS)
+        assert is_density_reachable(bridge_ds, BRIDGE, 1, BRIDGE_PARAMS)
+        assert not is_density_reachable(bridge_ds, 6, 0, BRIDGE_PARAMS)
+        assert is_density_connected(bridge_ds, BRIDGE, 8, BRIDGE_PARAMS)
+        assert not is_density_connected(bridge_ds, 0, 6, BRIDGE_PARAMS)
+
+
+_TWO_IDS = (is_directly_density_reachable, is_density_reachable, is_density_connected)
+
+
+class TestPointIds:
+    @pytest.mark.parametrize("bad", [99, -1, 1.5, None])
+    @pytest.mark.parametrize(
+        "predicate, slot",
+        [(classify_point, 0)] + [(f, s) for f in _TWO_IDS for s in (0, 1)],
+        ids=["classify_point"] + [f"{f.__name__}-{'pq'[s]}" for f in _TWO_IDS for s in (0, 1)],
+    )
+    def test_bad_id_rejected(self, line_ds, predicate, slot, bad):
+        ids = [1] if predicate is classify_point else [1, 2]
+        ids[slot] = bad
+        with pytest.raises(DataError, match="point index"):
+            predicate(line_ds, *ids, DbscanParams(0.5, 3))
+
+    def test_numpy_integer_accepted(self, line_ds):
+        params = DbscanParams(0.5, 3)
+        assert classify_point(line_ds, np.int64(0), params) is PointClass.BORDER
+        for predicate in _TWO_IDS:
+            assert predicate(line_ds, np.int32(0), np.int64(2), params) == predicate(line_ds, 0, 2, params)
 
 
 class TestInvariants:
@@ -454,6 +496,52 @@ def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
     assert len(cuts) >= 3
     assert lab.labels.tolist() == labels
     assert lab.classes.tolist() == classes
+
+
+def _reference_predicates(ds, params):
+    """From region_query_naive alone: each ball as a set, the core flags, each
+    core's component under core-core adjacency (a tiny union-find), and
+    touch[i], the components of the cores in i's ball."""
+    balls = [set(region_query_naive(ds, i, params.eps).tolist()) for i in range(len(ds))]
+    core = [len(b) >= params.min_pts for b in balls]
+    parent = list(range(len(ds)))
+
+    def comp(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, ball in enumerate(balls):
+        for j in ball:
+            if core[i] and core[j]:
+                parent[comp(i)] = comp(j)
+    touch = [{comp(j) for j in ball if core[j]} for ball in balls]
+    return balls, core, comp, touch
+
+
+@st.composite
+def _spread_inputs(draw):
+    """Lattice points spread over a few eps-balls, with a small min_pts: border
+    points and several clusters, which _scan_inputs seldom draws."""
+    dim = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim), min_size=5, max_size=40))
+    eps = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    return Dataset(np.array(coords) * 0.25), DbscanParams(eps, draw(st.integers(3, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_scan_inputs(), _spread_inputs()), st.data())
+def test_predicates_match_an_independent_reference(case, data):
+    ds, params = case
+    balls, core, comp, touch = _reference_predicates(ds, params)
+    index = build_index(ds)
+    for i in range(len(ds)):
+        assert int(classify_point(ds, i, params, index)) == (C if core[i] else B if touch[i] else N)
+    ids = st.integers(0, len(ds) - 1)
+    for p, q in data.draw(st.lists(st.tuples(ids, ids), min_size=30, max_size=30)):
+        assert is_directly_density_reachable(ds, p, q, params, index) == (core[q] and p in balls[q])
+        assert is_density_reachable(ds, p, q, params, index) == (p == q or (core[q] and comp(q) in touch[p]))
+        assert is_density_connected(ds, p, q, params, index) == bool(touch[p] & touch[q])
 
 
 def test_run_dbscan_sweeps_the_tiles_once(monkeypatch):

@@ -33,6 +33,11 @@ class TestPoint:
         with pytest.raises(DataError):
             Point(())
 
+    @pytest.mark.parametrize("coords", [("a",), 1.5, ((1.0, 2.0),)])
+    def test_malformed_coordinates_rejected(self, coords):
+        with pytest.raises(DataError, match="malformed point coordinates"):
+            Point(coords)
+
     def test_1d_point_has_no_y(self):
         with pytest.raises(DataError):
             Point((1.0,)).y
@@ -63,6 +68,16 @@ class TestDataset:
     def test_wrong_ndim(self):
         with pytest.raises(DataError):
             Dataset(np.zeros(5))
+
+    @pytest.mark.parametrize("coords", [[[0, 1], [2]], [["a", "b"]]])
+    def test_malformed_coordinates_rejected(self, coords):
+        with pytest.raises(DataError, match="malformed coordinates"):
+            Dataset(coords)
+
+    @pytest.mark.parametrize("points", [[1, 2], [(0.0, 1.0), (2.0,)]])
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(DataError, match="malformed"):
+            Dataset.from_points(points)
 
     def test_bounds(self):
         ds = Dataset(np.array([[0.0, 5.0], [2.0, -1.0]]))
@@ -193,6 +208,11 @@ class TestLabeledDataset:
         ds = Dataset(np.zeros((3, 2)))
         with pytest.raises(DataError):
             LabeledDataset(ds, np.array([0, 1]))
+
+    @pytest.mark.parametrize("truth", [["x"], [None], [1e30]])
+    def test_malformed_truth_rejected(self, truth):
+        with pytest.raises(DataError, match="malformed truth labels"):
+            LabeledDataset(Dataset(np.zeros((1, 2))), truth)
 
     def test_truth_read_only(self):
         d = LabeledDataset(Dataset(np.zeros((2, 2))), np.array([0, NOISE]))

@@ -398,6 +398,14 @@ def test_query_validation(grid_ds):
         region_query(idx, (math.nan, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("q", ["ab", 0.0, ("a", 1.0), None])
+def test_malformed_query_point_rejected(grid_ds, q):
+    with pytest.raises(DataError, match="malformed query point"):
+        region_query(build_index(grid_ds), q, 1.0)
+    with pytest.raises(DataError, match="malformed query point"):
+        region_query_naive(grid_ds, q, 1.0)
+
+
 def test_empty_dataset_queries_by_coords():
     ds = Dataset(np.empty((0, 2)))
     idx = build_index(ds)
