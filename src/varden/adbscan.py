@@ -77,8 +77,7 @@ def accept_cluster(labeling: Labeling, n_original: int, accept_fraction: float) 
 
 def remove_cluster(dataset: Dataset, labeling: Labeling, cluster_id: int) -> tuple[Dataset, np.ndarray]:
     """Drop one cluster's points; returns the survivors and their old indices."""
-    if not 0 <= cluster_id < labeling.n_clusters:
-        raise ValueError(f"no cluster {cluster_id} in labeling with {labeling.n_clusters} clusters")
+    cluster_id = check_int(cluster_id, "cluster id", 0, labeling.n_clusters)
     keep = np.flatnonzero(labeling.labels != cluster_id)
     return Dataset(dataset.coords[keep]), keep
 
@@ -186,12 +185,13 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     index = build_index(ds)
     core_d2 = kth_d2(index, min_pts, _SQUARE_OVERFLOWS)
     radii = np.sqrt(core_d2[members])
-    member_blobs = truth[members]
-    blobs = np.sort(member_blobs)
-    blob_ids = blobs[np.append(True, blobs[1:] != blobs[:-1])]  # np.unique imports numpy.ma
-    medians = [_median(radii[member_blobs == b]) for b in blob_ids]
+    order = np.lexsort((radii, truth[members]))  # by blob id, then radius
+    blobs, radii = truth[members][order], radii[order]
+    s = np.flatnonzero(np.append(True, blobs[1:] != blobs[:-1]))  # each blob's sorted run [s, e)
+    e = np.append(s[1:], blobs.size)
+    medians = (radii[(s + e - 1) // 2] + radii[(s + e) // 2]) / 2  # np.median imports numpy.ma
     densest = int(np.argmin(medians))  # argmin takes the first minimum: lowest blob id
-    target = np.flatnonzero(truth == blob_ids[densest])
+    target = np.flatnonzero(truth == blobs[s[densest]])
 
     def coheres(lab: Labeling) -> bool:
         t = lab.labels[target]
@@ -207,7 +207,7 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     # factor of two and answers every probe made while it stands. The first
     # starts at hi / 2, not 0, so that pairs already core-core there fold
     # into its forest; at 0 only coincident stacks would.
-    lo, hi = 0.0, min(max(medians[densest], 1e-9), _SQUARE_OVERFLOWS)
+    lo, hi = 0.0, min(max(float(medians[densest]), 1e-9), _SQUARE_OVERFLOWS)
     bracket = EpsBracket(index, min_pts, 0.5 * hi, hi)
     while not coheres(bracket.labeling(hi)):
         lo, hi = hi, 2.0 * hi
@@ -222,9 +222,3 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
             lo = mid
     return hi
 
-
-def _median(v: np.ndarray) -> float:
-    """np.median of a nonempty v without NaN, by sorting: np.median imports numpy.ma."""
-    s = np.sort(v)
-    m = s.size // 2
-    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)

@@ -66,6 +66,22 @@ def _resolve_seed(flag_seed: int | None, spec_seed: int) -> int:
     return spec_seed
 
 
+def _write_run(ds, labeling, csv=None, svg=None, manifest=None, command="", params=None, h=None, **fields) -> None:
+    """Write labeling's CSV to csv, its SVG to svg and a RunManifest to manifest, each when its path is given.
+
+    fields are the manifest's optional fields (report, trace, stop_reason).
+    h is ds's dataset_hash when the caller has it; otherwise it is computed
+    here, and only when a manifest is written.
+    """
+    if csv:
+        write_csv(ds, labeling, csv)
+    if svg:
+        render_svg(ds, labeling, svg)
+    if manifest:
+        h = dataset_hash(ds) if h is None else h
+        write_manifest(RunManifest(command, __version__, h, params, **fields), manifest)
+
+
 def _load_dataset(path) -> Dataset:
     data = read_csv(path)
     return data.dataset if isinstance(data, LabeledDataset) else data
@@ -93,9 +109,7 @@ def _cmd_gen(args) -> int:
 def _cmd_dbscan(args) -> int:
     ds = _load_dataset(args.infile)
     labeling = run_dbscan(ds, DbscanParams(args.eps, args.min_pts))
-    write_csv(ds, labeling, args.out)
-    if args.svg:
-        render_svg(ds, labeling, args.svg)
+    _write_run(ds, labeling, args.out, args.svg)
     n_noise = int((labeling.labels == NOISE).sum())
     print(f"{labeling.n_clusters} clusters, {n_noise}/{len(ds)} noise points")
     return 0
@@ -114,30 +128,12 @@ def _adbscan_param_record(params: AdbscanParams) -> dict:
 
 def _cmd_adbscan(args) -> int:
     ds = _load_dataset(args.infile)
-    params = AdbscanParams(
-        k=args.k,
-        eps0=args.eps0,
-        min_pts0=args.min_pts0,
-        step=args.step,
-        accept_fraction=args.accept,
-        residual_fraction=args.residual,
-        eps_cap=args.eps_cap,
-        max_iters=args.max_iters,
-    )
+    params = AdbscanParams(**{key: getattr(args, key) for key in _ADBSCAN_RECORD if hasattr(args, key)})
     result = run_adbscan(ds, params)
-    write_csv(ds, result, args.out)
-    if args.svg:
-        render_svg(ds, result, args.svg)
-    if args.trace:
-        manifest = RunManifest(
-            command="adbscan",
-            tool_version=__version__,
-            dataset_hash=dataset_hash(ds),
-            params=_adbscan_param_record(params),
-            trace=result.trace,
-            stop_reason=result.stop_reason,
-        )
-        write_manifest(manifest, args.trace)
+    _write_run(
+        ds, result, args.out, args.svg, args.trace, "adbscan", _adbscan_param_record(params),
+        trace=result.trace, stop_reason=result.stop_reason,
+    )
     print(
         f"{result.n_clusters} clusters in {result.iterations} iterations "
         f"(stop: {result.stop_reason})"
@@ -166,15 +162,8 @@ def _cmd_eval(args) -> int:
     labeling = _prediction_labeling(read_csv(args.pred), len(data), data)
     report = evaluate(data, labeling)
     sys.stdout.write(report.to_text())
-    if args.report:
-        manifest = RunManifest(
-            command="eval",
-            tool_version=__version__,
-            dataset_hash=dataset_hash(data.dataset),
-            params={"in": str(args.infile), "pred": str(args.pred)},
-            report=report,
-        )
-        write_manifest(manifest, args.report)
+    params = {"in": str(args.infile), "pred": str(args.pred)}
+    _write_run(data.dataset, labeling, manifest=args.report, command="eval", params=params, report=report)
     return 0
 
 
@@ -189,13 +178,11 @@ def _cmd_compare(args) -> int:
     write_dataset_csv(labeled, out / "dataset.csv")
     h = dataset_hash(ds)
 
-    def write_run(name: str, labeling: Labeling, params: dict, **trace) -> EvalReport:
+    def write_run(name: str, labeling: Labeling, params: dict, **fields) -> EvalReport:
         """Write name's CSV, SVG and manifest under out; return its evaluation."""
-        write_csv(ds, labeling, out / f"{name}.csv")
-        render_svg(ds, labeling, out / f"{name}.svg")
         report = evaluate(labeled, labeling)
-        manifest = RunManifest(f"compare/{name}", __version__, h, params, report=report, **trace)
-        write_manifest(manifest, out / f"{name}_manifest.txt")
+        paths = (out / f"{name}.csv", out / f"{name}.svg", out / f"{name}_manifest.txt")
+        _write_run(ds, labeling, *paths, f"compare/{name}", params, h, report=report, **fields)
         return report
 
     tuned = tune_eps_densest(labeled, min_pts=10)
@@ -246,13 +233,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adbscan", help="adaptive escalation run")
     p.add_argument("--in", dest="infile", required=True, help="input CSV")
     p.add_argument("--k", type=int, required=True, help="number of clusters to find")
-    p.add_argument("--eps0", type=float, default=0.5, help="starting eps (default 0.5)")
-    p.add_argument("--min-pts0", type=float, default=10, help="starting min_pts (default 10)")
-    p.add_argument("--step", type=float, default=0.5, help="escalation per iteration (default 0.5)")
-    p.add_argument("--accept", type=float, default=0.10, help="acceptance fraction (default 0.10)")
-    p.add_argument("--residual", type=float, default=0.05, help="stop remainder (default 0.05)")
-    p.add_argument("--eps-cap", type=float, default=None, help="stop once eps exceeds this")
-    p.add_argument("--max-iters", type=int, default=100, help="iteration budget (default 100)")
+    # Left out, a flag keeps AdbscanParams' default; each dest is the field it sets.
+    p.add_argument("--eps0", type=float, default=argparse.SUPPRESS, help="starting eps (default 0.5)")
+    p.add_argument("--min-pts0", type=float, default=argparse.SUPPRESS, help="starting min_pts (default 10)")
+    p.add_argument("--step", type=float, default=argparse.SUPPRESS, help="escalation per iteration (default 0.5)")
+    p.add_argument(
+        "--accept", dest="accept_fraction", metavar="ACCEPT", type=float, default=argparse.SUPPRESS,
+        help="acceptance fraction (default 0.10)",
+    )
+    p.add_argument(
+        "--residual", dest="residual_fraction", metavar="RESIDUAL", type=float, default=argparse.SUPPRESS,
+        help="stop remainder (default 0.05)",
+    )
+    p.add_argument("--eps-cap", type=float, default=argparse.SUPPRESS, help="stop once eps exceeds this")
+    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS, help="iteration budget (default 100)")
     p.add_argument("--out", required=True, help="output CSV (x,y,cluster,class)")
     p.add_argument("--svg", help="also render a scatter SVG here")
     p.add_argument("--trace", help="write a run manifest with the iteration trace here")

@@ -120,7 +120,7 @@ class Dataset:
         return self.coords.shape[1]
 
     def point(self, i: int) -> Point:
-        return Point(tuple(self.coords[i]))
+        return Point(tuple(self.coords[check_int(i, "point index", 0, len(self), DataError)]))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(mins, maxs) across all points; requires a nonempty dataset."""
@@ -142,7 +142,12 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         with _data_errors("truth labels"):
-            truth = np.asarray(self.truth, dtype=np.int64).copy()
+            raw = np.asarray(self.truth)
+            if raw.dtype.kind == "f":  # as in check_int, an integral float stands for its integer
+                bad = np.flatnonzero((raw != np.trunc(raw)) | ~(abs(raw) < 2.0**63))
+                if bad.size:
+                    raise DataError(f"malformed truth labels: {float(raw.flat[bad[0]])!r} is not an integer")
+            truth = raw.astype(np.int64)
         if truth.shape != (len(self.dataset),):
             raise DataError(
                 f"truth labels cover {truth.shape} points, dataset has {len(self.dataset)}"
@@ -247,7 +252,7 @@ class Labeling:
         return int(self.labels.max()) + 1 if self.labels.size and self.labels.max() >= 0 else 0
 
     def point_class(self, i: int) -> PointClass:
-        return PointClass(int(self.classes[i]))
+        return PointClass(int(self.classes[check_int(i, "point index", 0, len(self), DataError)]))
 
 
 def validate_labeling(lab: Labeling, n: int | None = None) -> None:

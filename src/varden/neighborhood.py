@@ -286,7 +286,9 @@ def dataset_diameter(dataset: Dataset) -> float:
     """Largest pairwise Euclidean distance; 0.0 for fewer than two points.
 
     One row at a time, with d2 accumulated axis by axis as in the queries.
+    DataError for a non-finite coordinate.
     """
+    check_finite(dataset)
     coords = dataset.coords
     best = 0.0
     for i in range(len(dataset) - 1):

@@ -106,8 +106,21 @@ class TestRemoveCluster:
     def test_unknown_cluster(self):
         ds = Dataset(np.zeros((2, 2)))
         lab = Labeling([0, 0], [2, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             remove_cluster(ds, lab, 3)
+
+    @pytest.mark.parametrize("cid", [-1, 0.5, None])
+    def test_bad_cluster_id_rejected(self, cid):
+        # 0.5 used to keep every point; -1 names noise, which is no cluster
+        ds = Dataset(np.zeros((3, 2)))
+        lab = Labeling([0, 1, 2], [2, 2, 2])
+        with pytest.raises(ParamError, match="cluster id"):
+            remove_cluster(ds, lab, cid)
+
+    def test_integral_cluster_id_accepted(self):
+        ds = Dataset(np.arange(6.0).reshape(3, 2))
+        _, kept = remove_cluster(ds, Labeling([0, 1, 2], [2, 2, 2]), np.int64(1))
+        assert kept.tolist() == [0, 2]
 
 
 class TestRunAdbscan:
@@ -226,6 +239,23 @@ class TestTuneEpsDensest:
     def test_pinned_on_builtin_scenarios(self, name, seed, expected):
         labeled = gen_scenario(replace(paper_scenario(name), seed=seed))
         assert tune_eps_densest(labeled, min_pts=10) == expected
+
+    def test_returns_a_python_float(self):
+        # an np.float64 would print as np.float64(...) in a manifest's params.eps
+        labeled = gen_scenario(replace(paper_scenario("two_equal"), seed=0))
+        assert type(tune_eps_densest(labeled, min_pts=10)) is float
+
+    def test_densest_blob_found_among_interleaved_ids(self):
+        # blob 7 (an 11-point ring, odd) is denser than blob 2 (a 12-point
+        # ring, even); their points alternate in the input and 7 > 2, so the
+        # medians must come from each blob's own sorted run
+        dense, sparse = _ring(0, 0, 0.1, 11), _ring(5, 0, 1.0, 12)
+        coords = np.array([p for pair in zip(sparse, dense) for p in pair] + sparse[11:])
+        truth = np.array([2, 7] * 11 + [2])
+        both = tune_eps_densest(LabeledDataset(Dataset(coords), truth), min_pts=5)
+        only_dense = tune_eps_densest(LabeledDataset(Dataset(coords), np.where(truth == 7, 7, NOISE)), min_pts=5)
+        only_sparse = tune_eps_densest(LabeledDataset(Dataset(coords), np.where(truth == 2, 2, NOISE)), min_pts=5)
+        assert both == only_dense != only_sparse
 
     def test_coincident_points_give_a_valid_eps(self):
         labeled = LabeledDataset(Dataset(np.ones((12, 2))), np.zeros(12))

@@ -10,7 +10,7 @@ import pytest
 import varden
 from varden.cli import cli_main, tune_eps_densest
 from varden.dataio import parse_manifest, read_csv
-from varden.model import DataError, Dataset, LabeledDataset, NOISE
+from varden.model import AdbscanParams, DataError, Dataset, LabeledDataset, NOISE
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +155,29 @@ class TestAdbscan:
         text = trace.read_text()
         assert format_manifest(parse_manifest(text)) == text
 
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            ([], {}),
+            (
+                ["--eps0", "0.4", "--min-pts0", "8.5", "--step", "0.25", "--accept", "0.2",
+                 "--residual", "0.1", "--eps-cap", "3", "--max-iters", "7"],
+                {"eps0": 0.4, "min_pts0": 8.5, "step": 0.25, "accept_fraction": 0.2,
+                 "residual_fraction": 0.1, "eps_cap": 3.0, "max_iters": 7},
+            ),
+        ],
+        ids=["defaults", "every-flag"],
+    )
+    def test_flags_set_their_params_fields(self, tmp_path, dataset_csv, flags, fields):
+        # a flag left out keeps AdbscanParams' default
+        trace = tmp_path / "trace.txt"
+        argv = ["adbscan", "--in", str(dataset_csv), "--k", "2", "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv + flags + ["--trace", str(trace)]) == 0
+        expected = AdbscanParams(k=2, **fields)
+        params = parse_manifest(trace.read_text()).params
+        assert params == {key: getattr(expected, key) for key in params}
+        assert set(params) == {key for key, v in vars(expected).items() if v is not None}
+
     def test_k_required(self, tmp_path, dataset_csv):
         code = cli_main(["adbscan", "--in", str(dataset_csv), "--out", str(tmp_path / "o.csv")])
         assert code == 1
@@ -218,6 +241,28 @@ class TestCompare:
         assert dm.report is not None and am.report is not None
         assert am.trace is not None and am.stop_reason is not None
         assert dm.dataset_hash == am.dataset_hash
+
+
+@pytest.mark.parametrize(
+    "argv, hashes",
+    [
+        (["dbscan", "--svg", "{tmp}/o.svg"], 0),
+        (["adbscan", "--k", "2"], 0),
+        (["adbscan", "--k", "2", "--trace", "{tmp}/trace.txt"], 1),
+        (["eval", "--pred", "{data}"], 0),
+        (["eval", "--pred", "{data}", "--report", "{tmp}/report.txt"], 1),
+        (["compare", "--scenario", "two_equal", "--out-dir", "{tmp}/cmp"], 1),
+    ],
+    ids=["dbscan", "adbscan", "adbscan-trace", "eval", "eval-report", "compare"],
+)
+def test_dataset_hashed_once_and_only_for_a_manifest(tmp_path, dataset_csv, monkeypatch, argv, hashes):
+    calls = []
+    monkeypatch.setattr("varden.cli.dataset_hash", lambda ds: calls.append(ds) or 0)
+    argv = [a.format(tmp=tmp_path, data=dataset_csv) for a in argv]
+    if argv[0] != "compare":
+        argv += ["--in", str(dataset_csv)] + (["--out", str(tmp_path / "o.csv")] if argv[0] != "eval" else [])
+    assert cli_main(argv) == 0
+    assert len(calls) == hashes
 
 
 class TestTuneEps:

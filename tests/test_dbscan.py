@@ -311,6 +311,16 @@ def _scan_inputs(draw):
 
 
 @st.composite
+def _spread_inputs(draw):
+    """Lattice points spread over a few eps-balls, with a small min_pts: border
+    points and several clusters, which _scan_inputs seldom draws."""
+    dim = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim), min_size=5, max_size=40))
+    eps = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    return Dataset(np.array(coords) * 0.25), DbscanParams(eps, draw(st.integers(3, 6)))
+
+
+@st.composite
 def _bracket_inputs(draw):
     """Lattice points, a bracket [lo, hi] of their radii (lo = 0 too), and
     every radius of the bracket, its ends and its midpoint as probes."""
@@ -323,7 +333,7 @@ def _bracket_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_scan_inputs())
+@given(st.one_of(_scan_inputs(), _spread_inputs()))
 # eps * eps overflows: a non-core point's core distance must stay above it
 @example((Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), DbscanParams(1e200, 4)))
 def test_matches_breadth_first_reference(case):
@@ -517,16 +527,6 @@ def _reference_predicates(ds, params):
                 parent[comp(i)] = comp(j)
     touch = [{comp(j) for j in ball if core[j]} for ball in balls]
     return balls, core, comp, touch
-
-
-@st.composite
-def _spread_inputs(draw):
-    """Lattice points spread over a few eps-balls, with a small min_pts: border
-    points and several clusters, which _scan_inputs seldom draws."""
-    dim = draw(st.integers(1, 3))
-    coords = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim), min_size=5, max_size=40))
-    eps = draw(st.sampled_from([0.25, 0.5, 0.75]))
-    return Dataset(np.array(coords) * 0.25), DbscanParams(eps, draw(st.integers(3, 6)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -79,6 +79,15 @@ class TestDataset:
         with pytest.raises(DataError, match="malformed"):
             Dataset.from_points(points)
 
+    @pytest.mark.parametrize("i", [-1, 99, 1.5, None])
+    def test_bad_point_index_rejected(self, i):
+        with pytest.raises(DataError, match="point index"):
+            Dataset(np.zeros((2, 2))).point(i)
+
+    def test_numpy_integer_point_index_accepted(self):
+        ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert ds.point(np.int64(1)) == Point((2.0, 3.0))
+
     def test_bounds(self):
         ds = Dataset(np.array([[0.0, 5.0], [2.0, -1.0]]))
         mins, maxs = ds.bounds()
@@ -179,6 +188,14 @@ class TestLabeling:
         lab = Labeling([NOISE, NOISE], [0, 0])
         assert lab.n_clusters == 0
 
+    @pytest.mark.parametrize("i", [-1, 99, 5, 1.5, None])
+    def test_bad_point_index_rejected(self, i):
+        with pytest.raises(DataError, match="point index"):
+            Labeling([0, NOISE], [2, 0]).point_class(i)
+
+    def test_numpy_integer_point_index_accepted(self):
+        assert Labeling([0, NOISE], [2, 0]).point_class(np.int64(0)) is PointClass.CORE
+
     def test_arrays_read_only(self):
         lab = Labeling([0], [2])
         with pytest.raises(ValueError):
@@ -209,10 +226,18 @@ class TestLabeledDataset:
         with pytest.raises(DataError):
             LabeledDataset(ds, np.array([0, 1]))
 
-    @pytest.mark.parametrize("truth", [["x"], [None], [1e30]])
+    # a fraction used to be truncated: 1.5 to blob 1 and -0.7 to blob 0
+    @pytest.mark.parametrize(
+        "truth", [["x"], [None], [1e30], [1.5], [-0.7], np.array([np.nan]), [np.inf], [-np.inf]]
+    )
     def test_malformed_truth_rejected(self, truth):
         with pytest.raises(DataError, match="malformed truth labels"):
             LabeledDataset(Dataset(np.zeros((1, 2))), truth)
+
+    @pytest.mark.parametrize("truth", [[1.0, -1.0], np.zeros(2), [True, False], np.array([3, NOISE], dtype=np.int32)])
+    def test_integral_truth_accepted(self, truth):
+        d = LabeledDataset(Dataset(np.zeros((2, 2))), truth)
+        assert d.truth.dtype == np.int64 and d.truth.tolist() == [int(t) for t in truth]
 
     def test_truth_read_only(self):
         d = LabeledDataset(Dataset(np.zeros((2, 2))), np.array([0, NOISE]))

@@ -427,6 +427,14 @@ class TestDiameter:
         assert dataset_diameter(Dataset(np.array([[2.0, 2.0]]))) == 0.0
         assert dataset_diameter(Dataset(np.empty((0, 2)))) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_finite_coordinate_rejected(self, bad, row):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        coords[row, 0] = bad
+        with pytest.raises(DataError, match=f"non-finite coordinate at point {row}"):
+            dataset_diameter(Dataset(coords))
+
     def test_matches_bruteforce_random(self):
         # the 3-d set is one where a fused d2 (einsum) lands an ulp off the axis-by-axis sum
         for seed, shape in ((3, (300, 2)), (9, (40, 3))):
