@@ -9,6 +9,7 @@ when the remainder falls to residual_fraction of the original size or
 below, when eps passes eps_cap, or after max_iters iterations.
 tune_eps_densest finds the best single radius with one neighbor scan per
 bracket: its probes relabel from the pairs that scan kept (dbscan.EpsBracket).
+Its blob medians come from capped core distances at doubling radii.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .model import (
     check_int,
     validate_dataset,
 )
-from .neighborhood import build_index, kth_d2
+from .neighborhood import NeighborIndex, build_index, kth_d2
 
 _REL_TOL = 1e-6  # relative width of the tuner's final bracket
 _SQUARE_OVERFLOWS = 2.0**512  # the smallest power of two whose square is inf
@@ -153,6 +154,29 @@ def run_adbscan(dataset: Dataset, params: AdbscanParams) -> AdaptiveResult:
     return AdaptiveResult(labels, classes, tuple(trace), stop)
 
 
+def _doubled_kth_d2(index: NeighborIndex, k: int, rows: np.ndarray) -> np.ndarray:
+    """kth_d2(index, k, 2^512) on rows and NaN elsewhere, from capped sweeps at radii r, 2r, 4r, ...
+
+    Each sweep reads only the rows still NaN; a value is the same at every
+    radius at which it is defined. r starts at an eighth of
+    spread * (k / n)^(1 / d), with spread the largest axis's, about the
+    radius of a k-ball at the average density: a sweep at a small r
+    measures few candidates, and the denser a blob, the sooner its rows
+    are read. Once r * r reaches every d2, or overflows from 2^512 on,
+    every value is defined for k <= n, so the sweeps are few: r starts
+    within a factor of 8 * sqrt(d) * (n / k)^(1 / d) of the diameter, or
+    at 2^-511, where r * r stops being subnormal.
+    """
+    n, dim = index.dataset.coords.shape
+    r = min(max(float(np.ptp(index.dataset.coords, axis=0).max()) * (k / n) ** (1 / dim) / 8, 2.0**-511), _SQUARE_OVERFLOWS)
+    out = np.full(n, np.nan)
+    while rows.size:
+        out[rows] = kth_d2(index, k, r, rows)[rows]
+        rows = rows[np.isnan(out[rows])] if r < _SQUARE_OVERFLOWS else rows[:0]
+        r = min(2.0 * r, _SQUARE_OVERFLOWS)
+    return out
+
+
 def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     """Smallest eps at which the densest blob coheres into one cluster.
 
@@ -164,11 +188,16 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     radius brackets the threshold and bisection narrows it; the returned
     value is the passing endpoint of the final bracket (relative width 1e-6).
 
-    The blob medians read every point's min_pts-th smallest d2 from kth_d2
-    at r = 2^512, uncapped. Each bracket [lo, hi] the search visits, at most
-    a factor of two wide, sweeps the neighbor tiles once at hi into a
-    dbscan.EpsBracket, which reads its own core distances (capped at hi) off
-    those tiles; its probes only relabel from the pairs that sweep kept.
+    The blob medians read each blob point's min_pts-th smallest d2 by radius
+    doubling over the capped kth_d2 (_doubled_kth_d2): the bits of kth_d2 at
+    r = 2^512, without its n * n d2 entries. When the densest blob's median
+    is 0, as for a stack of coincident points, the bracket search below
+    starts from the distance between the blob's two closest distinct
+    points, and from 1e-9 only when all of them coincide. Each bracket
+    [lo, hi] the search visits, at most a factor of two wide, sweeps the
+    neighbor tiles once at hi into a dbscan.EpsBracket, which reads its own
+    core distances (capped at hi) off those tiles; its probes only relabel
+    from the pairs that sweep kept.
     Memory is O(n + kept pairs + one tile): coincident stacks fold into the
     bracket's base forest, and kept pairs past a budget are cut to the
     closest between two of its components.
@@ -183,8 +212,7 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
         raise DataError(f"tuning needs at least min_pts={min_pts} points, dataset has {len(ds)}")
 
     index = build_index(ds)
-    core_d2 = kth_d2(index, min_pts, _SQUARE_OVERFLOWS)
-    radii = np.sqrt(core_d2[members])
+    radii = np.sqrt(_doubled_kth_d2(index, min_pts, members)[members])
     order = np.lexsort((radii, truth[members]))  # by blob id, then radius
     blobs, radii = truth[members][order], radii[order]
     s = np.flatnonzero(np.append(True, blobs[1:] != blobs[:-1]))  # each blob's sorted run [s, e)
@@ -207,7 +235,14 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     # factor of two and answers every probe made while it stands. The first
     # starts at hi / 2, not 0, so that pairs already core-core there fold
     # into its forest; at 0 only coincident stacks would.
-    lo, hi = 0.0, min(max(float(medians[densest]), 1e-9), _SQUARE_OVERFLOWS)
+    hi = float(medians[densest])
+    if hi == 0.0:  # a stack: start from the blob's two closest distinct points, if it has two
+        sites = np.unique(ds.coords[target], axis=0)
+        if len(sites) > 1:
+            gaps = _doubled_kth_d2(build_index(Dataset(sites)), 2, np.arange(len(sites)))
+            gaps = gaps[gaps > 0]  # a d2 may underflow to 0
+            hi = math.sqrt(gaps.min()) if gaps.size else 0.0
+    lo, hi = 0.0, min(max(hi, 1e-9), _SQUARE_OVERFLOWS)
     bracket = EpsBracket(index, min_pts, 0.5 * hi, hi)
     while not coheres(bracket.labeling(hi)):
         lo, hi = hi, 2.0 * hi

@@ -137,7 +137,11 @@ class EpsBracket:
     A tile fixes its rows' core distances, so each pair within hi is decided
     once, in the tile of whichever end is swept later (within one tile, at
     the end that comes later in it), when both ends' are known, and only
-    while its ends lie in two components of the base union-find forest. A
+    while its ends lie in two components of the base union-find forest.
+    The roots and sweep positions are read once per entry of the tile's
+    cols: once per tile for a tile whose rows share their candidates (a
+    block, or rows close together), and per row's own candidates elsewhere,
+    where those are few; only the hits among them are gathered. A
     pair whose mutual reachability is <= lo * lo is an edge at every eps of
     the bracket, so it joins the forest (buffered unions); NaN never passes
     that one comparison. A pair with neither end core at hi is never an edge
@@ -166,7 +170,7 @@ class EpsBracket:
         buffered = held = cut = 0
         for rows, cols, d2 in index.tiles(hi, lambda p: _find(parent, p)):
             block = certified[rows[0]]  # a certified cell's rows, against the swept points outside its component
-            if cols.size >= min_pts and not block:
+            if d2.shape[1] >= min_pts and not block:
                 # a copy, not a view that would hold the whole partitioned tile
                 kth = np.partition(d2, min_pts - 1, axis=1)[:, min_pts - 1].copy()
                 core_d2[rows] = np.where(kth <= hi2, np.maximum(kth, lo2), np.nan)
@@ -175,19 +179,21 @@ class EpsBracket:
             swept[rows] = pos
             if not cols.size:
                 continue
-            # these stay roots, as _union needs, until the buffered edges are joined
+            # these stay roots, as _union needs, until the buffered edges are joined;
+            # a tile whose rows share their candidates reads them once
             ru, rv = _find(parent, rows), _find(parent, cols)
-            # each pair once, from its later end, and only while its ends are apart
+            # each pair within hi once, from its later end, and only while its ends are apart
             k = np.flatnonzero((d2 <= hi2) & (swept[cols] < pos[:, None]) & (ru[:, None] != rv))
-            i, j = np.divmod(k, cols.size)
+            i, j = np.divmod(k, d2.shape[1])
             del k  # as large as i and j
-            dij, ci, cj = d2[i, j], core_d2[rows[i]], core_d2[cols[j]]
+            at = (i if cols.shape[0] > 1 else 0, j)  # each row's own cols, or the one they share
+            dij, ci, cj = d2[i, j], core_d2[rows[i]], core_d2[cols[at]]
             # mutual reachability within lo: an edge at every eps of the bracket (NaN never is)
             fold = np.maximum(np.maximum(dij, ci), cj) <= lo2
-            edges.append((ru[i[fold]], rv[j[fold]]))
+            edges.append((ru[i[fold]], rv[at][fold]))
             buffered += edges[-1][0].size
             keep = ~fold & ((ci <= hi2) | (cj <= hi2))
-            kept.append((rows[i[keep]], cols[j[keep]], dij[keep]))
+            kept.append((rows[i[keep]], cols[at][keep], dij[keep]))
             held += kept[-1][0].size
             cutting = held > _PAIR_BUDGET + 2 * cut
             # join the buffer before a cut (fewer components, fewer pairs kept),

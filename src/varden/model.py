@@ -41,6 +41,25 @@ def _data_errors(what: str):
         raise DataError(f"malformed {what}: {err}") from err
 
 
+def _integers(values, dtype, what: str) -> np.ndarray:
+    """A new array of values as the integer dtype; DataError unless every value is an integer it holds.
+
+    As in check_int, an integral float stands for its integer. An array of
+    the dtype already is only copied.
+    """
+    with _data_errors(what):
+        raw = np.asarray(values)
+        if raw.dtype == dtype:
+            return raw.copy()
+        if raw.dtype.kind in "fiu":
+            info = np.iinfo(dtype)
+            ok = (raw == np.trunc(raw)) & (raw >= info.min) & (raw <= info.max) & (abs(raw) < 2.0**63)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise DataError(f"malformed {what}: {raw.flat[bad[0]].item()!r} is not an integer in [{info.min}, {info.max}]")
+        return raw.astype(dtype)
+
+
 class PointClass(enum.IntEnum):
     """Role of a point in a density clustering."""
 
@@ -141,13 +160,7 @@ class LabeledDataset:
     truth: np.ndarray
 
     def __post_init__(self) -> None:
-        with _data_errors("truth labels"):
-            raw = np.asarray(self.truth)
-            if raw.dtype.kind == "f":  # as in check_int, an integral float stands for its integer
-                bad = np.flatnonzero((raw != np.trunc(raw)) | ~(abs(raw) < 2.0**63))
-                if bad.size:
-                    raise DataError(f"malformed truth labels: {float(raw.flat[bad[0]])!r} is not an integer")
-            truth = raw.astype(np.int64)
+        truth = _integers(self.truth, np.int64, "truth labels")
         if truth.shape != (len(self.dataset),):
             raise DataError(
                 f"truth labels cover {truth.shape} points, dataset has {len(self.dataset)}"
@@ -237,8 +250,8 @@ class Labeling:
     classes: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
-        classes = np.asarray(self.classes, dtype=np.int8).copy()
+        labels = _integers(self.labels, np.int64, "cluster labels")
+        classes = _integers(self.classes, np.int8, "point classes")
         labels.flags.writeable = False
         classes.flags.writeable = False
         object.__setattr__(self, "labels", labels)

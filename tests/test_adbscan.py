@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from varden import adbscan
 from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_params, tune_eps_densest
-from varden.dbscan import run_dbscan
+from varden.dbscan import EpsBracket, run_dbscan
 from varden.model import (
     AdbscanParams,
     Dataset,
@@ -26,6 +27,7 @@ from varden.model import (
     STOP_RESIDUAL,
     validate_labeling,
 )
+from varden.neighborhood import NeighborIndex, build_index, kth_d2
 from varden.synthgen import gen_scenario, paper_scenario
 
 
@@ -317,6 +319,53 @@ class TestTuneEpsDensest:
         eps, peak = _tune_traced(labeled)
         assert eps == 0.5176385838631932  # what one scan per probe returned
         assert peak < 16 * 2**20
+
+
+class TestDoubledKthD2:
+    """Core distances by radius doubling equal the uncapped ones on the rows asked for, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["two_equal", "three_varying", "four_varying"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scenarios(self, name, seed):
+        labeled = gen_scenario(replace(paper_scenario(name), seed=seed))
+        members = np.flatnonzero(labeled.truth != NOISE)
+        index = build_index(labeled.dataset)
+        got = adbscan._doubled_kth_d2(index, 10, members)
+        assert got[members].tobytes() == kth_d2(index, 10, 2.0**512)[members].tobytes()
+        assert np.isnan(np.delete(got, members)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e150])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lines_at_extreme_scales(self, scale, dim):
+        # d2 underflows at 1e-170 and overflows at 1e150; uneven gaps put
+        # the rows' k-th neighbors at many radii
+        coords = np.zeros((80, dim))
+        coords[:, 0] = np.cumsum(np.random.default_rng(dim).integers(1, 50, size=80)) * scale
+        index = build_index(Dataset(coords))
+        rows = np.arange(0, 80, 3)
+        for k in (1, 2, 10, 80):
+            got = adbscan._doubled_kth_d2(index, k, rows)[rows]
+            assert got.tobytes() == kth_d2(index, k, 2.0**512)[rows].tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ring_whose_squared_distances_overflow_takes_few_sweeps(self, monkeypatch):
+        sweeps = []
+        tiles = NeighborIndex.tiles
+        monkeypatch.setattr(NeighborIndex, "tiles", lambda self, eps, *a, **kw: sweeps.append(eps) or tiles(self, eps, *a, **kw))
+        labeled = LabeledDataset(Dataset(np.array(_ring(0, 0, 1e160, 12))), np.zeros(12))
+        assert tune_eps_densest(labeled, min_pts=10) * 1e-160 < 10
+        assert len(sweeps) <= 64
+
+    def test_stacks_start_from_the_gap_between_them(self, monkeypatch):
+        # two 1500-point stacks 5 * sqrt(2) apart in one blob: the median radius
+        # is 0, and doubling from 1e-9 built 34 brackets
+        built = []
+        monkeypatch.setattr(adbscan, "EpsBracket", lambda *a: built.append(a) or EpsBracket(*a))
+        coords = np.repeat([[0.0, 0.0], [5.0, 5.0]], 1500, axis=0)
+        eps = tune_eps_densest(LabeledDataset(Dataset(coords), np.zeros(3000)), min_pts=10)
+        assert eps * eps >= 50.0 and eps <= math.sqrt(50.0) * (1 + 1e-6)
+        assert len(built) <= 8
 
 
 def _tune_traced(labeled):

@@ -621,6 +621,20 @@ def test_grid_tiles_measure_few_distances_in_3d(monkeypatch, shape, per_point):
     assert sum(entries) < per_point * n
 
 
+def test_grid_tiles_measure_each_row_against_its_own_box_in_2d(monkeypatch):
+    # 2e4 uniform 2-D points, about 10 per ball: a row's own padded box holds
+    # about 19 candidates, padded to the widest row of its tile; a 32-row
+    # tile's shared candidates came to about 112 d2 entries per point
+    entries = []
+    axis_d2 = neighborhood._axis_d2
+    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    n = 20_000
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+    lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
+    assert lab.n_clusters >= 1
+    assert sum(entries) < 50 * n
+
+
 def test_eps_beyond_the_diameter_is_one_certified_cell():
     # 1e4 points, every pair within eps: one certified cell, no distance measured
     coords = np.random.default_rng(2).uniform(0.0, 1.0, size=(10_000, 2))

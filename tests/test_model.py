@@ -1,4 +1,6 @@
 """Type-level contracts: validation, immutability, derived properties."""
+import math
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,33 @@ class TestLabeling:
         lab = Labeling([0], [2])
         with pytest.raises(ValueError):
             lab.labels[0] = 5
+
+    @pytest.mark.parametrize(
+        "labels, classes",
+        [
+            ([0.5, -0.7], [2, 2]),  # cast, these were [0 0]
+            ([0, 0], [2.7, 1.2]),  # and these [2 1]
+            (["x"], [0]),  # a raw ValueError
+            ([math.nan], [0]),  # a cast warning
+            ([0], [300]),  # int8 wraps it
+            ([2.0**63], [0]),
+            ([0], [None]),
+        ],
+    )
+    def test_values_that_are_not_integers_rejected(self, labels, classes):
+        with pytest.raises(DataError, match="malformed (cluster labels|point classes)"):
+            Labeling(labels, classes)
+
+    def test_integral_floats_are_their_integers(self):
+        lab = Labeling([0.0, -1.0], [2.0, 0.0])
+        assert lab.labels.dtype == np.int64 and lab.labels.tolist() == [0, NOISE]
+        assert lab.classes.dtype == np.int8 and lab.classes.tolist() == [2, 0]
+
+    def test_arrays_of_the_dtype_are_copied(self):
+        labels, classes = np.array([0, NOISE]), np.array([2, 0], dtype=np.int8)
+        lab = Labeling(labels, classes)
+        labels[0], classes[0] = 5, 1
+        assert lab.labels.tolist() == [0, NOISE] and lab.classes.tolist() == [2, 0]
 
 
 class TestValidateLabeling:

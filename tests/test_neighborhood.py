@@ -179,14 +179,18 @@ def _tiny_and_huge_lines():
     return [Dataset(c) for c in (tiny, huge, mixed)]
 
 
-def _tile_neighborhoods(ds, eps):
-    """Each point's hits gathered from the tiles, ascending; every point is a row once."""
+def _tile_neighborhoods(ds, eps, rows=None):
+    """Each point's hits gathered from the tiles, ascending; every point (of
+    rows, when given) is a row once, against its own cols or the tile's
+    shared ones, padded with -1 and NaN."""
     hoods = [None] * len(ds)
-    for rows, cols, d2 in build_index(ds).tiles(eps):
-        assert d2.shape == (rows.size, cols.size)
-        for r, h in zip(rows, d2 <= eps * eps):
+    for tile, cols, d2 in build_index(ds).tiles(eps, rows=rows):
+        assert d2.shape == (tile.size, cols.shape[1]) and cols.shape[0] in (1, tile.size)
+        cols = np.broadcast_to(cols, d2.shape)
+        assert np.array_equal(cols < 0, np.isnan(d2))
+        for r, c, h in zip(tile, cols, d2 <= eps * eps):
             assert hoods[r] is None
-            hoods[r] = np.sort(cols[h])
+            hoods[r] = np.sort(c[h])
     return hoods
 
 
@@ -232,6 +236,22 @@ class TestTiles:
         ds = Dataset(rng.integers(0, 12, size=(300, dim)) * 0.25)
         for eps in (0.25, 2**0.5 * 0.25, 1.0):
             _assert_tiles_match_naive(ds, eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_subset(self, dim):
+        # the rows named, each once however often it is named, with its whole
+        # neighborhood; the other points are candidates only
+        rng = np.random.default_rng(dim)
+        lattice = Dataset(rng.integers(0, 12, size=(300, dim)) * 0.25)  # ties at exactly eps
+        cases = [*_slab_edge_cases(dim, 1.0), *_cell_edge_cases(dim, 1.0), (lattice, 0.25), (lattice, 1.0)]
+        for ds, eps in cases:
+            rows = rng.choice(len(ds), size=len(ds) // 3 + 1, replace=False)
+            hoods = _tile_neighborhoods(ds, eps, rows=np.concatenate([rows, rows[:2]]))
+            for i, hood in enumerate(hoods):
+                if i in rows:
+                    assert np.array_equal(hood, region_query_naive(ds, i, eps))
+                else:
+                    assert hood is None
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_and_single_point(self, dim):
@@ -288,7 +308,7 @@ class TestTiles:
         pairs = []
         for rows, cols, d2 in build_index(Dataset(coords)).tiles(eps):
             i, j = np.nonzero(d2 <= eps * eps)
-            pairs.append(rows[i] * n + cols[j])
+            pairs.append(rows[i] * n + np.broadcast_to(cols, d2.shape)[i, j])
         ours = np.concatenate(pairs)
         hoods = spatial.cKDTree(coords).query_ball_point(coords, eps)
         theirs = np.concatenate([i * n + np.asarray(h, dtype=np.int64) for i, h in enumerate(hoods)])
