@@ -202,6 +202,16 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     bracket's base forest, and kept pairs past a budget are cut to the
     closest between two of its components.
     """
+    return _tuned_scan(labeled, min_pts)[0]
+
+
+def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]:
+    """(eps, labeling): tune_eps_densest's eps, and what run_dbscan returns at (eps, min_pts).
+
+    The labeling comes from the last bracket the search built, which spans
+    eps, so a caller that also wants the fixed scan at the tuned eps gets
+    it without another sweep.
+    """
     min_pts = check_int(min_pts, "min_pts", 1)
     ds = labeled.dataset
     truth = labeled.truth
@@ -244,16 +254,16 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
             hi = math.sqrt(gaps.min()) if gaps.size else 0.0
     lo, hi = 0.0, min(max(hi, 1e-9), _SQUARE_OVERFLOWS)
     bracket = EpsBracket(index, min_pts, 0.5 * hi, hi)
-    while not coheres(bracket.labeling(hi)):
+    while not coheres(scan := bracket.labeling(hi)):
         lo, hi = hi, 2.0 * hi
         bracket = EpsBracket(index, min_pts, lo, hi)
     while hi - lo > max(1e-9, _REL_TOL * hi):
         mid = 0.5 * (lo + hi)
         if mid < bracket.lo:  # lo is still 0, and the blob cohered at every probe so far
             bracket = EpsBracket(index, min_pts, mid, hi)
-        if coheres(bracket.labeling(mid)):
-            hi = mid
+        if coheres(probe := bracket.labeling(mid)):
+            hi, scan = mid, probe
         else:
             lo = mid
-    return hi
+    return hi, scan
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adbscan import run_adbscan, tune_eps_densest
+from .adbscan import _tuned_scan, run_adbscan
 from .dataio import (
     FileNotFound,
     RunManifest,
@@ -45,6 +45,7 @@ from .model import (
     validate_labeling,
 )
 # Not called here: kept bound because perfbench's span tracer looks these names up on varden.cli.
+from .adbscan import tune_eps_densest  # noqa: F401
 from .neighborhood import build_index, dataset_diameter  # noqa: F401
 from .render import render_svg
 from .synthgen import SCENARIO_NAMES, gen_scenario, paper_scenario, parse_scenario
@@ -185,8 +186,7 @@ def _cmd_compare(args) -> int:
         _write_run(ds, labeling, *paths, f"compare/{name}", params, h, report=report, **fields)
         return report
 
-    tuned = tune_eps_densest(labeled, min_pts=10)
-    scan = run_dbscan(ds, DbscanParams(tuned, 10))
+    tuned, scan = _tuned_scan(labeled, 10)
     scan_report = write_run("dbscan", scan, {"scenario": args.scenario, "seed": seed, "eps": tuned, "min_pts": 10})
     aparams = AdbscanParams(k=len(spec.blobs))
     result = run_adbscan(ds, aparams)

@@ -58,7 +58,7 @@ from .model import (
     check_int,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, _cells, build_index, region_query
+from .neighborhood import NeighborIndex, _cells, _kth_d2, build_index, region_query
 
 _UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
@@ -118,11 +118,15 @@ class EpsBracket:
 
     core_d2 holds each point's min_pts-th smallest d2 (itself included),
     raised to lo * lo, where it is <= hi * hi, and NaN elsewhere: the bits of
-    np.maximum(kth_d2(index, min_pts, hi), lo * lo), read off the same tiles
-    as the pairs. p is core at eps exactly when core_d2[p] <= eps * eps, and
-    a pair is a core-core edge exactly when its mutual reachability
-    max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi & Sander, PAKDD 2013)
-    is <= eps * eps; raising the values to lo * lo changes neither answer.
+    np.maximum(kth_d2(index, min_pts, hi), lo * lo), read off the same hits
+    as the pairs. A row with min_pts hits within lo is lo * lo and one with
+    fewer than min_pts hits NaN, both by counting its hits; only a row whose
+    value lies in (lo * lo, hi * hi] is partitioned (neighborhood._kth_d2),
+    so at lo = hi, as in run_dbscan, none is. p is core at eps exactly when
+    core_d2[p] <= eps * eps, and a pair is a core-core edge exactly when its
+    mutual reachability max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi &
+    Sander, PAKDD 2013) is <= eps * eps; raising the values to lo * lo
+    changes neither answer.
 
     Before the sweep, every certified cell (module docstring; Gan & Tao,
     "DBSCAN Revisited", SIGMOD 2015) joins the base forest rooted at its
@@ -137,14 +141,13 @@ class EpsBracket:
     A tile fixes its rows' core distances, so each pair within hi is decided
     once, in the tile of whichever end is swept later (within one tile, at
     the end that comes later in it), when both ends' are known, and only
-    while its ends lie in two components of the base union-find forest.
-    The roots and sweep positions are read once per entry of the tile's
-    cols: once per tile for a tile whose rows share their candidates (a
-    block, or rows close together), and per row's own candidates elsewhere,
-    where those are few; only the hits among them are gathered. A
-    pair whose mutual reachability is <= lo * lo is an edge at every eps of
-    the bracket, so it joins the forest (buffered unions); NaN never passes
-    that one comparison. A pair with neither end core at hi is never an edge
+    while its ends lie in two components of the base union-find forest:
+    the sweep positions, then the roots, then the core distances are read
+    per hit, each only for the hits the step before kept. A pair whose
+    mutual reachability is <= lo * lo is an edge at every eps of the
+    bracket, so it joins the forest (buffered unions, each run of one
+    row's edges into one component buffered once); NaN never passes that
+    one comparison. A pair with neither end core at hi is never an edge
     nor a border link, and is dropped. The rest are kept as (i, j, d2), and
     whenever too many have come in they are cut to the closest pair between
     two base components (or a component and a point, or two points): the two
@@ -168,32 +171,27 @@ class EpsBracket:
         edges: list[tuple[np.ndarray, np.ndarray]] = []
         kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
         buffered = held = cut = 0
-        for rows, cols, d2 in index.tiles(hi, lambda p: _find(parent, p)):
+        for rows, i, j, d2 in index.tiles(hi, lambda p: _find(parent, p)):
             block = certified[rows[0]]  # a certified cell's rows, against the swept points outside its component
-            if d2.shape[1] >= min_pts and not block:
-                # a copy, not a view that would hold the whole partitioned tile
-                kth = np.partition(d2, min_pts - 1, axis=1)[:, min_pts - 1].copy()
-                core_d2[rows] = np.where(kth <= hi2, np.maximum(kth, lo2), np.nan)
+            if not block:
+                core_d2[rows] = _kth_d2(i, d2, min_pts, rows.size, lo2, hi2)
             pos = np.arange(done, done + rows.size)
             done += rows.size
             swept[rows] = pos
-            if not cols.size:
-                continue
-            # these stay roots, as _union needs, until the buffered edges are joined;
-            # a tile whose rows share their candidates reads them once
-            ru, rv = _find(parent, rows), _find(parent, cols)
-            # each pair within hi once, from its later end, and only while its ends are apart
-            k = np.flatnonzero((d2 <= hi2) & (swept[cols] < pos[:, None]) & (ru[:, None] != rv))
-            i, j = np.divmod(k, d2.shape[1])
-            del k  # as large as i and j
-            at = (i if cols.shape[0] > 1 else 0, j)  # each row's own cols, or the one they share
-            dij, ci, cj = d2[i, j], core_d2[rows[i]], core_d2[cols[at]]
+            # these stay roots, as _union needs, until the buffered edges are joined
+            ru = _find(parent, rows)
+            k = np.flatnonzero(swept[j] < pos[i])  # each pair once, from its later end
+            k = k[_find(parent, j[k]) != ru[i[k]]]  # and only while its ends lie in two components
+            i, j, d2 = i[k], j[k], d2[k]
+            ci, cj, rv = core_d2[rows[i]], core_d2[j], parent[j]  # _find pointed each j at its root
             # mutual reachability within lo: an edge at every eps of the bracket (NaN never is)
-            fold = np.maximum(np.maximum(dij, ci), cj) <= lo2
-            edges.append((ru[i[fold]], rv[at][fold]))
+            fold = np.maximum(np.maximum(d2, ci), cj) <= lo2
+            u, v = ru[i[fold]], rv[fold]
+            new = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))[: u.size]  # the same edge comes in runs: one of each
+            edges.append((u[new], v[new]))
             buffered += edges[-1][0].size
             keep = ~fold & ((ci <= hi2) | (cj <= hi2))
-            kept.append((rows[i[keep]], cols[at][keep], dij[keep]))
+            kept.append((rows[i[keep]], j[keep], d2[keep]))
             held += kept[-1][0].size
             cutting = held > _PAIR_BUDGET + 2 * cut
             # join the buffer before a cut (fewer components, fewer pairs kept),

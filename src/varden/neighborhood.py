@@ -2,17 +2,19 @@
 
 A sweep index (``build_index`` / ``region_query``) and a pure-Python scan
 (``region_query_naive``) answer the closed-ball query |q - p| <= eps, and
-``NeighborIndex.tiles`` answers every query at once, in tiles over a grid
-of cells of side about eps. All of them accumulate d2 axis by axis in the
-same order and compare it with the same eps * eps, so they agree bit for
-bit, boundary points included. ``kth_d2`` reads each k-th smallest d2 off
-the tiles, for every point or only for the rows asked for, so a caller can
-retry the rows it still needs at a larger radius; dbscan.EpsBracket reads
-the same values inside its own sweep, so one sweep both fixes the core set
-and joins, and passes ``tiles`` the roots of its union-find, so that points
-it already knows to be joined are never measured against each other.
-dbscan's certified cells use the same cell code (``_cells``) at their own
-side.
+``NeighborIndex.tiles`` answers every query at once, as hit lists
+(rows, i, j, d2) over a grid of cells of side about eps: every pair
+within eps once per row, with its d2, and nothing else. All of them
+accumulate d2 axis by axis in the same order (``_axis_d2``, through
+which every d2 entry passes) and compare it with the same eps * eps, so
+they agree bit for bit, boundary points included. ``kth_d2`` reads each
+k-th smallest d2 off the hits, for every point or only for the rows
+asked for, so a caller can retry the rows it still needs at a larger
+radius; dbscan.EpsBracket reads the same values inside its own sweep
+(``_kth_d2``), so one sweep both fixes the core set and joins, and
+passes ``tiles`` the roots of its union-find, so that points it already
+knows to be joined are never measured against each other. dbscan's
+certified cells use the same cell code (``_cells``) at their own side.
 """
 from __future__ import annotations
 
@@ -23,24 +25,25 @@ import numpy as np
 from .model import Dataset, DataError, _data_errors, check_finite, check_float
 
 _TILE = 32  # the fewest query rows a tile holds
-_ENTRIES = 1 << 13  # the padded d2 entries a tile of more than _TILE rows holds at most
+_ENTRIES = 1 << 13  # rows times widest row's candidates that a tile of more than _TILE rows holds at most
+_SHARE = 2  # a tile's rows share the span of their runs while it is at most this many times their own candidates
 _CHUNK = 2048  # rows, or blocks, whose candidate runs are looked up together
 _CLIP = 2.0**61  # cell indices are clipped to +-_CLIP
 
 
-def _axis_d2(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Squared distances, queries x cands, accumulated axis by axis as
-    (cand - query)**2 like the naive scan; a square that overflows is inf there too.
+def _axis_d2(cands, queries):
+    """Squared distances accumulated axis by axis as (cand - query)**2, like
+    the naive scan; a square that overflows is inf there too.
 
-    cands is m x d, shared by every query, or m x r x d, one column per query.
+    cands and queries give the coordinates one axis at a time, as arrays
+    that broadcast together, and d2 has their broadcast shape; generators
+    gather one axis at a time.
     """
-    d2 = np.zeros((queries.shape[0], cands.shape[0]))
-    diff = np.empty_like(d2)
+    d2 = 0.0  # 0.0 + x is x, bit for bit
     with np.errstate(over="ignore"):
-        for ax in range(queries.shape[1]):
-            np.subtract(cands[..., ax].T, queries[:, ax, None], out=diff)
-            diff *= diff
-            d2 += diff
+        for c, q in zip(cands, queries):
+            diff = np.subtract(c, q)
+            d2 = np.add(d2, np.multiply(diff, diff, out=diff), out=diff)
     return d2
 
 
@@ -97,10 +100,10 @@ class NeighborIndex:
     candidates are a superset of the hits and the d2 test decides, exactly
     as in a query. No neighbour cell is named as c +- 1, so cells that the
     clip or rounding merges stay correct. With one axis the single column is
-    the slab. A tile is a run of rows in that order, sized by its d2 entries
-    rather than its rows: on 2-D points at about 10 per ball a row's own box
-    holds about 19 candidates, where 32 rows of a sparse column shared about
-    115.
+    the slab. A tile is a run of rows in that order, sized by its widest
+    row rather than its rows, and each row meets only its own box: on 2-D
+    points at about 10 per ball that is about 20 candidates, where 32 rows
+    of a sparse column shared about 115.
     """
 
     __slots__ = ("dataset", "_axis", "_order", "_sorted", "_keys")
@@ -124,23 +127,23 @@ class NeighborIndex:
         w = _half_width(eps)
         lo = int(np.searchsorted(self._keys, qa - w, side="left"))
         hi = int(np.searchsorted(self._keys, qa + w, side="right"))
-        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi], qc[None])[0] <= eps * eps])
+        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi].T, qc) <= eps * eps])
 
     def tiles(self, eps: float, roots=None, rows=None):
-        """Yield (rows, cols, d2) blocks that together hold every neighborhood.
+        """Yield (rows, i, j, d2) hit lists that together hold every neighborhood.
 
-        Every point is a row of exactly one tile. d2[i, j] is the squared
-        distance from rows[i] to cols[i, j], or to cols[0, j] when cols has
-        one row that all rows share, so the entries of cols broadcast to d2
-        with d2[i] <= eps * eps are rows[i]'s neighborhood, in the order of
-        the grid at w (class docstring), which is sorted afresh per call. A
-        row's candidates are the runs of its own padded box. Where a tile's
-        rows lie close together, so that the union of their runs holds at
-        most 4 times the widest row's, they share that union, read once per
-        tile; elsewhere each row has its own cols, padded to the tile's
-        widest row with -1 in cols and NaN in d2, which is <= no eps * eps.
-        A tile holds at least 32 rows, and more while its rows times its
-        widest row's candidates stay within 8192 d2 entries.
+        Every point is a row of exactly one tile. Each hit is a pair within
+        eps: rows[i] is the row, j the point id of its neighbour and d2 their
+        squared distance, already tested against eps * eps, so the j with
+        i == q are rows[q]'s neighborhood, in the order of the grid at w
+        (class docstring), which is sorted afresh per call. i ascends, so
+        each row's hits are one run. A row's candidates are the runs of its
+        own padded box, each measured once against that row alone, with no
+        padding; rows that lie close together share the span of their runs
+        while it costs at most twice their own candidates (_Grid._tile). A
+        tile holds at least 32 rows, and more while its rows times its
+        widest row's candidates stay within 8192, which bounds a caller that
+        lays the hits out row by row.
 
         rows, if given, lists the point ids that are rows outside the blocks
         below, each once however often it is listed; the other points are
@@ -151,17 +154,17 @@ class NeighborIndex:
         and it is called again between tiles, as the caller joins more. A
         component that holds two or more points when the sweep starts is a
         block: the blocks are swept first, one at a time, and their rows
-        share one cols row of the points already swept that lie outside the
-        block's component. A block gathers its candidates once,
-        from its bounding box, and re-roots the rest before each of its
-        tiles, so a caller that joins a tile's pairs before the next one
-        never meets a joined candidate again. Its tiles grow from 1 row to
-        32, so that its first row's joins spare the rest; once no candidate
-        is left, the rest of the block is one tile with no cols. Only the
-        other points' cols hold their whole neighborhoods.
+        share one candidate row of the points already swept that lie outside
+        the block's component. A block gathers its candidates once, from its
+        bounding box, and re-roots the rest before each of its tiles, so a
+        caller that joins a tile's pairs before the next one never meets a
+        joined candidate again. Its tiles grow from 1 row to 32, so that its
+        first row's joins spare the rest; once no candidate is left, the
+        rest of the block is one tile with no hits. Only the other points'
+        hits are their whole neighborhoods.
         """
         eps = check_float(eps, "eps", 0)
-        grid = _Grid(self, _half_width(eps))
+        grid = _Grid(self, eps)
         shared = np.zeros(len(grid.order), dtype=bool)
         if roots is not None:
             root = roots(grid.order)  # by grid position
@@ -174,31 +177,30 @@ class NeighborIndex:
 
 
 class _Grid:
-    """The points of a NeighborIndex in columns of side w, for one sweep.
+    """The points of a NeighborIndex in columns of side w, for one sweep at eps.
 
     The points are sorted by their cells on every axis but the sweep axis,
-    in axis order, then by their sweep coordinate. keys holds that order as
-    col * n + r, where r is the rank of the point's sweep coordinate among
-    all n points' and col numbers its column in order. col is built one axis
-    at a time, each prefix of cells numbered densely among the prefixes that
-    hold a point, so no key reaches n * (n + 1) and none can wrap. pts and
-    ids hold one more entry, a point of NaN coordinates with id -1, that
-    pads the tiles.
+    in axis order, then by their sweep coordinate; order holds their ids
+    and axes their coordinates in that order, one contiguous array per
+    axis. keys holds that order as col * n + r, where r is the point's
+    position in the index's sweep order, which the stable sort keeps
+    ascending within a column, and col numbers its column in order; a
+    sweep coordinate's searchsorted position in that order is thus a
+    bound on r. col is built one axis at a time, each prefix of cells
+    numbered densely among the prefixes that hold a point, so no key
+    reaches n * (n + 1) and none can wrap.
     """
 
-    __slots__ = ("w", "axis", "others", "ids", "order", "pts", "keys", "sweep", "occupied", "prefixes")
+    __slots__ = ("w", "e2", "axis", "others", "order", "axes", "keys", "sweep", "occupied", "prefixes")
 
-    def __init__(self, index: NeighborIndex, w: float) -> None:
-        self.w, self.axis, self.sweep = w, index._axis, index._keys
+    def __init__(self, index: NeighborIndex, eps: float) -> None:
+        self.w, self.e2, self.axis, self.sweep = _half_width(eps), eps * eps, index._axis, index._keys
         self.others = [ax for ax in range(index.dataset.dim) if ax != self.axis]
-        cells = _cells(index._sorted[:, self.others], w)
+        cells = _cells(index._sorted[:, self.others], self.w)
         by_cell = np.lexsort((index._keys, *cells.T[::-1]))
         n = by_cell.size
-        self.ids, self.pts = np.full(n + 1, -1), np.full((n + 1, index.dataset.dim), np.nan)
-        np.take(index._order, by_cell, out=self.ids[:n])  # in place: no second copy of the points
-        np.take(index._sorted, by_cell, axis=0, out=self.pts[:n])
-        self.order, cells = self.ids[:n], cells[by_cell]  # the point ids by grid position
-        del by_cell
+        self.order, cells = index._order[by_cell], cells[by_cell]  # the point ids by grid position
+        self.axes = [index._sorted[by_cell, ax] for ax in range(index.dataset.dim)]  # contiguous, with no copy of all the points first
         self.occupied, self.prefixes = [], []  # each axis's cells that hold a point; each prefix length's keys
         col = np.zeros(n, dtype=np.int64)
         for c in cells.T:
@@ -208,32 +210,32 @@ class _Grid:
             new = np.diff(key, prepend=-1) != 0
             self.prefixes.append(key[new])
             col = np.cumsum(new) - 1
-        self.keys = col * n + np.searchsorted(self.sweep, self.pts[:n, self.axis])
+        self.keys = col * n + by_cell
 
-    def runs(self, lo: np.ndarray, hi: np.ndarray):
+    def runs(self, lo, hi):
         """(box, starts, stops): the runs of grid positions that hold every point within w of box k, ascending by box.
 
-        Box k, [lo[k], hi[k]], has one run in every occupied column between
-        its padded bounds' cells, f(fl(lo - w)) to f(fl(hi + w)) on each axis
-        but the sweep axis; empty runs are left out. The boxes' k-th runs are
-        looked up together: for rows in grid order their keys ascend, which
-        keeps searchsorted fast.
+        Box k spans [lo[ax][k], hi[ax][k]] on each axis ax, and has one run
+        in every occupied column between its padded bounds' cells,
+        f(fl(lo - w)) to f(fl(hi + w)) on each axis but the sweep axis;
+        empty runs are left out. The boxes' k-th runs are looked up
+        together: for rows in grid order their keys ascend, which keeps
+        searchsorted fast.
         """
-        n = len(self.order)
+        n, boxes = len(self.order), lo[0].size
         with np.errstate(over="ignore"):
-            lo, hi = lo - self.w, hi + self.w
-        cl, ch = _cells(lo[:, self.others], self.w).T, _cells(hi[:, self.others], self.w).T
-        col, held = np.zeros((1, len(lo)), dtype=np.int64), np.ones((1, len(lo)), dtype=bool)
-        for occ, prefixes, c0, c1 in zip(self.occupied, self.prefixes, cl, ch):
-            first = np.searchsorted(occ, c0)
-            span = np.searchsorted(occ, c1, "right") - first
+            lo, hi = [x - self.w for x in lo], [x + self.w for x in hi]
+        col, held = np.zeros((1, boxes), dtype=np.int64), np.ones((1, boxes), dtype=bool)
+        for ax, occ, prefixes in zip(self.others, self.occupied, self.prefixes):
+            first = np.searchsorted(occ, _cells(lo[ax], self.w))
+            span = np.searchsorted(occ, _cells(hi[ax], self.w), "right") - first
             step = np.arange(span.max(initial=0))[:, None]
-            key = ((col * occ.size + first)[:, None] + step).reshape(-1, len(lo))
+            key = ((col * occ.size + first)[:, None] + step).reshape(-1, boxes)
             held = (held[:, None] & (step < span)).reshape(key.shape)
             col = np.minimum(np.searchsorted(prefixes, key), prefixes.size - 1)
             held &= prefixes[col] == key  # the run's column holds a point
-        starts = np.searchsorted(self.keys, col * n + np.searchsorted(self.sweep, lo[:, self.axis]))
-        stops = np.searchsorted(self.keys, col * n + np.searchsorted(self.sweep, hi[:, self.axis], "right"))
+        starts = np.searchsorted(self.keys, col * n + np.searchsorted(self.sweep, lo[self.axis]))
+        stops = np.searchsorted(self.keys, col * n + np.searchsorted(self.sweep, hi[self.axis], "right"))
         box, k = np.nonzero((held & (stops > starts)).T)
         return box, starts[k, box], stops[k, box]
 
@@ -242,13 +244,14 @@ class _Grid:
 
         _CHUNK rows at a time have their runs looked up together. A tile
         takes _TILE rows, and then more while its rows times its widest
-        row's entries stay within _ENTRIES; a tile that would reach past the
-        chunk is looked up again with the next one.
+        row's candidates stay within _ENTRIES; a tile that would reach past
+        the chunk is looked up again with the next one.
         """
         t = 0
         while t < rest.size:
             chunk = rest[t : t + _CHUNK]
-            box, starts, stops = self.runs(self.pts[chunk], self.pts[chunk])
+            at = [x[chunk] for x in self.axes]
+            box, starts, stops = self.runs(at, at)
             first = np.searchsorted(box, np.arange(chunk.size + 1))  # row i's runs are first[i]:first[i + 1]
             length = np.add.reduceat(stops - starts, first[:-1])  # every row's box holds the row itself
             a = 0
@@ -259,47 +262,50 @@ class _Grid:
                     break
                 b = min(b, chunk.size)
                 q = slice(first[a], first[b])
-                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a, length[a:b])
+                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a)
                 a = b
             t += a
 
-    def _tile(self, pos, starts, stops, row, lengths):
-        """One tile: the rows at grid positions pos, row[q] owning the run starts[q]:stops[q].
+    def _tile(self, pos, starts, stops, row):
+        """The hits of the rows at grid positions pos, row[q] owning the run starts[q]:stops[q].
 
-        When the union of the runs holds at most 4 times the widest row's
-        entries, as where the rows lie close together, every row is
-        measured against the union, one cols row that costs no gather per
-        entry; otherwise each row against its own runs, padded.
+        Each row is measured flat against its own runs: the runs,
+        concatenated, are the candidates, and the row's coordinates,
+        repeated, the other side of each d2. Where the rows lie so close
+        together that the span from the first run's start to the last one's
+        stop holds at most _SHARE times their own candidates per row, they
+        share that span instead, as a block does: a slice, with no gather
+        per entry.
         """
-        n, r, m = len(self.order), pos.size, int(lengths.max())
-        by_start = np.argsort(starts, kind="stable")
-        s, reach = starts[by_start], np.maximum.accumulate(stops[by_start])
-        apart = np.flatnonzero(s[1:] > reach[:-1])  # the union's intervals end after these
-        s, e = np.append(s[:1], s[apart + 1]), np.append(reach[apart], reach[-1])
-        if (e - s).sum() <= 4 * m:
-            cand = _ranges(s, e)
-            return self.ids[pos], self.ids[cand][None], _axis_d2(self.pts[cand], self.pts[pos])
-        # the runs' entries row by row, each to its place in its row's padded m
-        dst = np.arange(lengths.sum()) + np.repeat(row * m - (np.cumsum(lengths) - lengths)[row], stops - starts)
-        cols = np.full(r * m, n)
-        cols[dst] = _ranges(starts, stops)
-        cols = cols.reshape(r, m)
-        return self.ids[pos], self.ids[cols], _axis_d2(self.pts[cols].swapaxes(0, 1), self.pts[pos])
+        size, span = stops - starts, slice(starts.min(), stops.max())
+        if pos.size * (span.stop - span.start) <= _SHARE * size.sum():
+            return self._shared(pos, span)
+        cand, i = _ranges(starts, stops), np.repeat(row, size)
+        d2 = _axis_d2((x[cand] for x in self.axes), (x[pos][i] for x in self.axes))
+        hit = np.flatnonzero(d2 <= self.e2)
+        return self.order[pos], i[hit], self.order[cand[hit]], d2[hit]
+
+    def _shared(self, pos, cand):
+        """The hits of the rows at grid positions pos against the candidates cand (positions or a slice) that they share."""
+        d2 = _axis_d2((x[cand] for x in self.axes), (x[pos, None] for x in self.axes))
+        k = np.flatnonzero(d2 <= self.e2)
+        i, c = np.divmod(k, d2.shape[1])
+        return self.order[pos], i, self.order[cand][c], d2.ravel()[k]
 
     def blocks(self, shared, root, roots):
         """The tiles of the blocks of tiles(eps, roots): shared holds their grid positions, root their roots."""
-        pts, ids = self.pts, self.ids
+        axes, ids = self.axes, self.order
         by_root = shared[np.argsort(root[shared], kind="stable")]
         del shared  # n entries the blocks' tiles do not need
         firsts = np.flatnonzero(np.r_[True, root[by_root][1:] != root[by_root][:-1]])
         ends = np.append(firsts[1:], by_root.size)
-        every = np.arange(len(self.order))
-        swept = np.zeros(len(self.order), dtype=bool)
+        every = np.arange(len(ids))
+        swept = np.zeros(len(ids), dtype=bool)
         for b0 in range(0, firsts.size, _CHUNK):  # _CHUNK blocks at a time
             at = firsts[b0 : b0 + _CHUNK]
             members = by_root[at[0] : ends[b0 + at.size - 1]]
             at = at - at[0]
-            box, starts, stops = self.runs(np.minimum.reduceat(pts[members], at), np.maximum.reduceat(pts[members], at))
+            box, starts, stops = self.runs(*([f.reduceat(x[members], at) for x in axes] for f in (np.minimum, np.maximum)))
             bounds = np.searchsorted(box, np.arange(at.size + 1)).tolist()
             starts, stops = starts.tolist(), stops.tolist()  # a block has few runs: slices beat _ranges
             for block, x, y in zip(np.split(members, at[1:]), bounds, bounds[1:]):
@@ -311,7 +317,7 @@ class _Grid:
                     cand = cand[roots(ids[cand]) != roots(ids[block[:1]])]
                     pos = block[t : t + size] if cand.size else block[t:]
                     t, size = t + pos.size, min(2 * size, _TILE)
-                    yield ids[pos], ids[cand][None], _axis_d2(pts[cand], pts[pos])
+                    yield self._shared(pos, cand)
 
 
 def build_index(dataset: Dataset) -> NeighborIndex:
@@ -353,14 +359,14 @@ def dataset_diameter(dataset: Dataset) -> float:
     coords = dataset.coords
     best = 0.0
     for i in range(len(dataset) - 1):
-        best = max(best, float(_axis_d2(coords[i + 1 :], coords[i : i + 1]).max()))
+        best = max(best, float(np.max(_axis_d2(coords[i + 1 :].T, coords[i]))))
     return math.sqrt(best)
 
 
 def kth_d2(index: NeighborIndex, k: int, r: float, rows=None) -> np.ndarray:
     """Each point's k-th smallest d2, itself included, where it is <= r * r; NaN elsewhere.
 
-    Read off the tiles at r, whose candidates hold every row's r-ball, so a
+    Read off the hits of the tiles at r, which hold every row's r-ball, so a
     defined value has the queries' bits, and for eps <= r a closed eps-ball
     holds at least k points exactly when its value is <= eps * eps. NaN (the
     r-ball holds fewer than k points; every ball once k > n) is <= no
@@ -369,16 +375,32 @@ def kth_d2(index: NeighborIndex, k: int, r: float, rows=None) -> np.ndarray:
     stay NaN. A value is the same at every r at which it is defined, so a
     caller that needs some rows' exact values retries only their NaN rows
     at a larger r (the tuner doubles r). dbscan.EpsBracket computes the
-    same bits inline, per tile of its own sweep, and raises them to its
-    lo * lo.
+    same bits inline, per tile of its own sweep, with _kth_d2 raising them
+    to its lo * lo (0.0 here, which no d2 is below).
     """
-    r = check_float(r, "eps", 0)
-    r2 = r * r
     out = np.full(len(index.dataset), np.nan)
-    for tile, _, d2 in index.tiles(r, rows=rows):
-        if d2.shape[1] >= k:
-            d2.partition(k - 1, axis=1)
-            out[tile] = np.where(d2[:, k - 1] <= r2, d2[:, k - 1], np.nan)
+    for tile, i, _, d2 in index.tiles(r, rows=rows):
+        out[tile] = _kth_d2(i, d2, k, tile.size, 0.0, r * r)
+    return out
+
+
+def _kth_d2(i: np.ndarray, d2: np.ndarray, k: int, size: int, floor: float, cap: float) -> np.ndarray:
+    """Each of a tile's size rows' k-th smallest hit d2, raised to floor; NaN for a row with fewer than k hits.
+
+    i holds each hit's row, ascending, and no hit's d2 exceeds cap. A row
+    with k hits <= floor is floor, with no partition: every row with k hits
+    once floor >= cap. The other rows with k hits, whose k-th lies above
+    floor, are laid out one line each, padded with inf (>= every hit) to
+    the widest such row, and partitioned.
+    """
+    count = np.bincount(i, minlength=size)
+    out = np.where(count >= k, floor, np.nan)
+    exact = (count >= k) & ((np.bincount(i[d2 <= floor], minlength=size) < k) if floor < cap else False)
+    if exact.any():
+        width = count[exact]
+        lines = np.full((width.size, width.max()), np.inf)
+        lines[np.repeat(np.arange(width.size), width), _ranges(0 * width, width)] = d2[exact[i]]
+        out[exact] = np.partition(lines, k - 1, axis=1)[:, k - 1]
     return out
 
 

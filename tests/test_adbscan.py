@@ -28,7 +28,7 @@ from varden.model import (
     validate_labeling,
 )
 from varden.neighborhood import NeighborIndex, build_index, kth_d2
-from varden.synthgen import gen_scenario, paper_scenario
+from varden.synthgen import SCENARIO_NAMES, gen_scenario, paper_scenario
 
 
 def _ring(cx, cy, r, count):
@@ -241,6 +241,16 @@ class TestTuneEpsDensest:
     def test_pinned_on_builtin_scenarios(self, name, seed, expected):
         labeled = gen_scenario(replace(paper_scenario(name), seed=seed))
         assert tune_eps_densest(labeled, min_pts=10) == expected
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tuned_scan_is_run_dbscan_at_the_tuned_eps(self, name, seed):
+        # compare's fixed scan comes from the tuner's last bracket
+        labeled = gen_scenario(replace(paper_scenario(name), seed=seed))
+        eps, scan = adbscan._tuned_scan(labeled, 10)
+        assert eps == tune_eps_densest(labeled, min_pts=10)
+        lab = run_dbscan(labeled.dataset, DbscanParams(eps, 10))
+        assert np.array_equal(scan.labels, lab.labels) and np.array_equal(scan.classes, lab.classes)
 
     def test_returns_a_python_float(self):
         # an np.float64 would print as np.float64(...) in a manifest's params.eps

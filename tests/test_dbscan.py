@@ -571,6 +571,14 @@ def test_coincident_points_stay_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
+def _counted_entries(monkeypatch):
+    """A list that gets the size of every d2 array neighborhood._axis_d2 returns, through which every d2 entry passes."""
+    entries = []
+    axis_d2 = neighborhood._axis_d2
+    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(np.size(d2 := axis_d2(c, q))) or d2)
+    return entries
+
+
 _GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) * 0.25 + 0.125
 
 
@@ -591,9 +599,7 @@ _GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) *
     ],
 )
 def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, clusters, per_point):
-    entries = []
-    axis_d2 = neighborhood._axis_d2
-    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    entries = _counted_entries(monkeypatch)
     coords = np.repeat(sites, stack, axis=0)
     coords = coords[np.random.default_rng(5).permutation(len(coords))]
     lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
@@ -608,9 +614,7 @@ def test_grid_tiles_measure_few_distances_in_3d(monkeypatch, shape, per_point):
     # axis, so a tile's candidates lie near it on all three: about 465 and
     # 300 d2 entries per point, where cutting one other axis only gave 970
     # and 445
-    entries = []
-    axis_d2 = neighborhood._axis_d2
-    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    entries = _counted_entries(monkeypatch)
     rng, n = np.random.default_rng(0), 20_000
     if shape == "gaussian":
         coords, eps = rng.normal(0.0, 1.0, size=(n, 3)), 0.3
@@ -625,14 +629,24 @@ def test_grid_tiles_measure_each_row_against_its_own_box_in_2d(monkeypatch):
     # 2e4 uniform 2-D points, about 10 per ball: a row's own padded box holds
     # about 19 candidates, padded to the widest row of its tile; a 32-row
     # tile's shared candidates came to about 112 d2 entries per point
-    entries = []
-    axis_d2 = neighborhood._axis_d2
-    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(c.shape[0] * q.shape[0]) or axis_d2(c, q))
+    entries = _counted_entries(monkeypatch)
     n = 20_000
     coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
     lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
     assert lab.n_clusters >= 1
     assert sum(entries) < 50 * n
+
+
+def test_grid_tiles_measure_no_padding_in_2d(monkeypatch):
+    # the input above: each row is measured once against each candidate of
+    # its own box, about 19.9 per point, not padded to the widest row of its
+    # tile (31.8 per point)
+    entries = _counted_entries(monkeypatch)
+    n = 20_000
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+    lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
+    assert lab.n_clusters >= 1
+    assert sum(entries) <= 21 * n
 
 
 def test_eps_beyond_the_diameter_is_one_certified_cell():

@@ -181,16 +181,18 @@ def _tiny_and_huge_lines():
 
 def _tile_neighborhoods(ds, eps, rows=None):
     """Each point's hits gathered from the tiles, ascending; every point (of
-    rows, when given) is a row once, against its own cols or the tile's
-    shared ones, padded with -1 and NaN."""
+    rows, when given) is a row once. A tile's hits come row by row, i
+    ascending, each with the d2 the naive scan accumulates, within eps."""
     hoods = [None] * len(ds)
-    for tile, cols, d2 in build_index(ds).tiles(eps, rows=rows):
-        assert d2.shape == (tile.size, cols.shape[1]) and cols.shape[0] in (1, tile.size)
-        cols = np.broadcast_to(cols, d2.shape)
-        assert np.array_equal(cols < 0, np.isnan(d2))
-        for r, c, h in zip(tile, cols, d2 <= eps * eps):
+    coords = ds.coords
+    for tile, i, j, d2 in build_index(ds).tiles(eps, rows=rows):
+        assert i.shape == j.shape == d2.shape and np.all(np.diff(i) >= 0)
+        with np.errstate(over="ignore", under="ignore"):
+            naive = sum(((coords[j, ax] - coords[tile[i], ax]) ** 2 for ax in range(ds.dim)), np.zeros(j.size))
+        assert np.array_equal(d2, naive) and np.all(d2 <= eps * eps)
+        for q, r in enumerate(tile):
             assert hoods[r] is None
-            hoods[r] = np.sort(c[h])
+            hoods[r] = np.sort(j[i == q])
     return hoods
 
 
@@ -254,11 +256,28 @@ class TestTiles:
                     assert hood is None
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_skewed_rows(self, dim):
+        # a dense clump beside sparse points, so that the rows of one tile
+        # meet very different numbers of candidates; all rows, and a subset
+        rng = np.random.default_rng(dim)
+        coords = np.concatenate([rng.normal(0.0, 0.02, size=(500, dim)), rng.uniform(-2.0, 2.0, size=(300, dim))])
+        ds, eps = Dataset(coords[rng.permutation(len(coords))]), 0.25
+        skew = max(np.bincount(i).max() / np.bincount(i).min() for _, i, _, _ in build_index(ds).tiles(eps))
+        assert skew >= 10
+        rows = rng.choice(len(ds), size=len(ds) // 4, replace=False)
+        for subset in (None, rows):
+            for r, hood in enumerate(_tile_neighborhoods(ds, eps, rows=subset)):
+                if subset is None or r in rows:
+                    assert np.array_equal(hood, region_query_naive(ds, r, eps))
+                else:
+                    assert hood is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_and_single_point(self, dim):
         for n in (0, 1):
             idx = build_index(Dataset(np.zeros((n, dim))))
             for roots in (None, lambda p: p):
-                assert [rows.tolist() for rows, _, _ in idx.tiles(1.0, roots)] == [[0]] * n
+                assert [rows.tolist() for rows, *_ in idx.tiles(1.0, roots)] == [[0]] * n
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinates_rejected(self, bad):
@@ -306,9 +325,8 @@ class TestTiles:
         eps = 0.02 if dim == 2 else 0.06
         n = len(coords)
         pairs = []
-        for rows, cols, d2 in build_index(Dataset(coords)).tiles(eps):
-            i, j = np.nonzero(d2 <= eps * eps)
-            pairs.append(rows[i] * n + np.broadcast_to(cols, d2.shape)[i, j])
+        for rows, i, j, _ in build_index(Dataset(coords)).tiles(eps):
+            pairs.append(rows[i] * n + j)
         ours = np.concatenate(pairs)
         hoods = spatial.cKDTree(coords).query_ball_point(coords, eps)
         theirs = np.concatenate([i * n + np.asarray(h, dtype=np.int64) for i, h in enumerate(hoods)])
