@@ -28,6 +28,7 @@ from .model import (
     Labeling,
     LabeledDataset,
     NOISE,
+    ParamError,
     PointClass,
     STOP_EPS_CAP,
     STOP_K_REACHED,
@@ -84,10 +85,13 @@ def remove_cluster(dataset: Dataset, labeling: Labeling, cluster_id: int) -> tup
 
 
 def run_adbscan(dataset: Dataset, params: AdbscanParams) -> AdaptiveResult:
-    """Run the escalation loop; always returns a valid labeling.
+    """Run the escalation loop; returns a valid labeling, or raises ParamError
+    when the escalated eps or min_pts accumulator overflows to inf first.
 
     When a budget (eps_cap, max_iters) ends the loop early the result simply
-    has fewer than k clusters; stop_reason records which budget fired.
+    has fewer than k clusters; stop_reason records which budget fired. The
+    stop checks come before the overflow check, so a set eps_cap stops an
+    infinite eps with eps_cap.
     """
     validate_dataset(dataset)
     n0 = len(dataset)
@@ -114,6 +118,8 @@ def run_adbscan(dataset: Dataset, params: AdbscanParams) -> AdaptiveResult:
         if len(trace) >= params.max_iters:
             stop = STOP_MAX_ITERS
             break
+        if not (math.isfinite(eps) and math.isfinite(mp_real)):
+            raise ParamError(f"escalation overflowed at iteration {len(trace) + 1}: eps {eps!r}, min_pts {mp_real!r}")
 
         min_pts = math.ceil(mp_real)
         scan = run_dbscan(current, DbscanParams(eps, min_pts))

@@ -91,7 +91,11 @@ class EvalReport:
 
 
 def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
-    """Score a labeling (an AdaptiveResult is one) against the dataset's truth."""
+    """Score a labeling (an AdaptiveResult is one) against the dataset's truth.
+
+    DataError for cluster ids that are not contiguous from 0; classes are
+    not read.
+    """
     if not isinstance(d, LabeledDataset):
         raise MissingGroundTruth(f"expected a LabeledDataset, got {type(d).__name__}")
     truth = d.truth
@@ -104,6 +108,8 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     purity = []
     for cid in range(k):
         member_truth = truth[labels == cid]
+        if not member_truth.size:
+            raise DataError("cluster ids are not contiguous from 0")
         top = Counter(member_truth.tolist()).most_common(1)[0][1]
         purity.append(top / member_truth.size)
     return EvalReport(

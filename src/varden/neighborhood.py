@@ -14,7 +14,8 @@ radius; dbscan.EpsBracket reads the same values inside its own sweep
 (``_kth_d2``), so one sweep both fixes the core set and joins, and
 passes ``tiles`` the roots of its union-find, so that points it already
 knows to be joined are never measured against each other. dbscan's
-certified cells use the same cell code (``_cells``) at their own side.
+certified cells use the same cell code (``_cells``) at their own side, and
+measure their bounding boxes' diagonals with the same ``_axis_d2``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, DataError, _data_errors, check_finite, check_float
+from .model import Dataset, DataError, _data_errors, check_finite, check_float, check_int
 
 _TILE = 32  # the fewest query rows a tile holds
 _ENTRIES = 1 << 13  # rows times widest row's candidates that a tile of more than _TILE rows holds at most
@@ -143,7 +144,9 @@ class NeighborIndex:
         while it costs at most twice their own candidates (_Grid._tile). A
         tile holds at least 32 rows, and more while its rows times its
         widest row's candidates stay within 8192, which bounds a caller that
-        lays the hits out row by row.
+        lays the hits out row by row; but it never reaches past its chunk of
+        2048 rows, whose runs are looked up together, so a chunk's last tile
+        may hold fewer.
 
         rows, if given, lists the point ids that are rows outside the blocks
         below, each once however often it is listed; the other points are
@@ -244,11 +247,9 @@ class _Grid:
 
         _CHUNK rows at a time have their runs looked up together. A tile
         takes _TILE rows, and then more while its rows times its widest
-        row's candidates stay within _ENTRIES; a tile that would reach past
-        the chunk is looked up again with the next one.
+        row's candidates stay within _ENTRIES, and stops at the chunk's end.
         """
-        t = 0
-        while t < rest.size:
+        for t in range(0, rest.size, _CHUNK):
             chunk = rest[t : t + _CHUNK]
             at = [x[chunk] for x in self.axes]
             box, starts, stops = self.runs(at, at)
@@ -258,13 +259,10 @@ class _Grid:
             while a < chunk.size:
                 width = np.maximum.accumulate(length[a : a + max(_TILE, _ENTRIES // length[a])])
                 b = a + max(_TILE, int(np.count_nonzero(width * np.arange(1, width.size + 1) <= _ENTRIES)))
-                if b >= chunk.size and a and t + chunk.size < rest.size:
-                    break
                 b = min(b, chunk.size)
                 q = slice(first[a], first[b])
                 yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a)
                 a = b
-            t += a
 
     def _tile(self, pos, starts, stops, row):
         """The hits of the rows at grid positions pos, row[q] owning the run starts[q]:stops[q].
@@ -299,17 +297,15 @@ class _Grid:
         del shared  # n entries the blocks' tiles do not need
         firsts = np.flatnonzero(np.r_[True, root[by_root][1:] != root[by_root][:-1]])
         ends = np.append(firsts[1:], by_root.size)
-        every = np.arange(len(ids))
         swept = np.zeros(len(ids), dtype=bool)
         for b0 in range(0, firsts.size, _CHUNK):  # _CHUNK blocks at a time
             at = firsts[b0 : b0 + _CHUNK]
             members = by_root[at[0] : ends[b0 + at.size - 1]]
             at = at - at[0]
             box, starts, stops = self.runs(*([f.reduceat(x[members], at) for x in axes] for f in (np.minimum, np.maximum)))
-            bounds = np.searchsorted(box, np.arange(at.size + 1)).tolist()
-            starts, stops = starts.tolist(), stops.tolist()  # a block has few runs: slices beat _ranges
+            bounds = np.searchsorted(box, np.arange(at.size + 1))
             for block, x, y in zip(np.split(members, at[1:]), bounds, bounds[1:]):
-                cand = np.concatenate([every[s:e] for s, e in zip(starts[x:y], stops[x:y])])
+                cand = _ranges(starts[x:y], stops[x:y])
                 cand = cand[swept[cand]]
                 swept[block] = True
                 t, size = 0, 1
@@ -376,8 +372,10 @@ def kth_d2(index: NeighborIndex, k: int, r: float, rows=None) -> np.ndarray:
     caller that needs some rows' exact values retries only their NaN rows
     at a larger r (the tuner doubles r). dbscan.EpsBracket computes the
     same bits inline, per tile of its own sweep, with _kth_d2 raising them
-    to its lo * lo (0.0 here, which no d2 is below).
+    to its lo * lo (0.0 here, which no d2 is below). ParamError unless k is
+    an integer >= 1 (2.0 is 2) and r is finite and > 0.
     """
+    k, r = check_int(k, "k", 1), check_float(r, "r", 0)
     out = np.full(len(index.dataset), np.nan)
     for tile, i, _, d2 in index.tiles(r, rows=rows):
         out[tile] = _kth_d2(i, d2, k, tile.size, 0.0, r * r)

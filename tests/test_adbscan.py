@@ -183,6 +183,21 @@ class TestRunAdbscan:
         assert all(not r.accepted for r in res.trace)
         validate_labeling(res.as_labeling(), len(ds))
 
+    @pytest.mark.parametrize("steps", [{"step": 1e308}, {"eps_step": 1e308}, {"min_pts_step": 1e308}])
+    def test_an_escalation_that_overflows_is_a_param_error(self, steps):
+        # the third iteration's eps or min_pts is inf: one ParamError naming
+        # it, not a raw OverflowError from ceil or DbscanParams' own message
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(ParamError, match="escalation overflowed at iteration 3"):
+            run_adbscan(ds, AdbscanParams(k=5, max_iters=5, **steps))
+
+    def test_eps_cap_stops_an_infinite_eps(self):
+        # the stop checks come first
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        res = run_adbscan(ds, AdbscanParams(k=5, max_iters=5, step=1e308, eps_cap=1.5e308))
+        assert res.stop_reason == STOP_EPS_CAP
+        assert res.iterations == 2
+
     def test_classes_come_from_accepting_scan(self, two_density_ds):
         res = run_adbscan(two_density_ds, AdbscanParams(k=2, **PARAMS))
         # every dense-ring point saw the whole ring: all core

@@ -178,6 +178,14 @@ class TestAdbscan:
         assert params == {key: getattr(expected, key) for key in params}
         assert set(params) == {key for key, v in vars(expected).items() if v is not None}
 
+    def test_an_escalation_that_overflows_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("x,y\n0.0,0.0\n1.0,1.0\n2.0,2.0\n")
+        argv = ["adbscan", "--in", str(data), "--k", "5", "--step", "1e308", "--max-iters", "5"]
+        assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: escalation overflowed at iteration 3") and "Traceback" not in err
+
     def test_k_required(self, tmp_path, dataset_csv):
         code = cli_main(["adbscan", "--in", str(dataset_csv), "--out", str(tmp_path / "o.csv")])
         assert code == 1

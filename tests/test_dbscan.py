@@ -544,6 +544,32 @@ def test_predicates_match_an_independent_reference(case, data):
         assert is_density_connected(ds, p, q, params, index) == bool(touch[p] & touch[q])
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_sweep_matches_the_oracle_across_chunks(monkeypatch, chunk):
+    # rows and blocks have their runs looked up a few at a time, so tiles end
+    # at chunk boundaries, and the blocks (certified cells: the stacks of 9,
+    # 12 and 6 points among 5 or 6 at min_pts 5, and 14-19 at min_pts 2)
+    # span several chunks
+    monkeypatch.setattr(neighborhood, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    stacks = np.repeat([[0.5, 0.5], [1.0, 1.25], [1.5, 0.25], [0.75, 1.75]], [9, 1, 12, 6], axis=0)
+    coords = np.concatenate([rng.integers(0, 8, size=(60, 2)) * 0.25, stacks])
+    ds, eps = Dataset(coords[rng.permutation(len(coords))]), 0.5
+    rows = rng.choice(len(ds), size=len(ds) // 3, replace=False)
+    for subset in (None, rows):
+        seen = []
+        for tile, i, j, _ in build_index(ds).tiles(eps, rows=subset):
+            seen += tile.tolist()
+            for q, r in enumerate(tile):
+                assert np.array_equal(np.sort(j[i == q]), region_query_naive(ds, r, eps))
+        assert sorted(seen) == sorted(range(len(ds)) if subset is None else rows.tolist())
+    for min_pts in (2, 5):
+        labels, classes = _reference_dbscan(ds, DbscanParams(eps, min_pts))
+        lab = run_dbscan(ds, DbscanParams(eps, min_pts))
+        assert lab.labels.tolist() == labels
+        assert lab.classes.tolist() == classes
+
+
 def test_run_dbscan_sweeps_the_tiles_once(monkeypatch):
     # core distances come from the same sweep as the pairs, not from kth_d2
     sweeps = []

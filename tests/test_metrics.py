@@ -14,7 +14,7 @@ from varden.metrics import (
     adjusted_rand_index,
     evaluate,
 )
-from varden.model import Dataset, Labeling, LabeledDataset, NOISE, PointClass
+from varden.model import DataError, Dataset, Labeling, LabeledDataset, NOISE, PointClass
 from varden.dbscan import run_dbscan
 from varden.model import DbscanParams
 
@@ -157,6 +157,12 @@ class TestEvaluate:
         d = _labeled([[0, 0], [1, 1]], [0, 0])
         with pytest.raises(LengthMismatch):
             evaluate(d, Labeling([0], [2]))
+
+    def test_non_contiguous_cluster_ids(self):
+        # clusters 0 and 1 are empty: a DataError, not an IndexError from the purity loop
+        d = _labeled([[0, 0], [1, 1], [2, 2]], [0, 0, NOISE])
+        with pytest.raises(DataError, match="cluster ids are not contiguous from 0"):
+            evaluate(d, Labeling([2, 2, NOISE], [2, 2, 0]))
 
     def test_dbscan_labeling_round(self):
         rng = np.random.default_rng(11)

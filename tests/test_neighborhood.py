@@ -398,6 +398,14 @@ class TestKthD2:
             with pytest.raises(ParamError):
                 kth_d2(idx, 1, bad)
 
+    @pytest.mark.parametrize("k, r", [(0, 1.0), (-1, 1.0), (1.5, 1.0), (2.0, 0.0), ("x", 1.0), (None, 1.0), (2, -1.0)])
+    def test_argument_validation(self, grid_ds, k, r):
+        # each argument under its own name; an integral float k is its integer
+        idx = build_index(grid_ds)
+        with pytest.raises(ParamError, match="^k must be an integer >= 1" if r == 1.0 else "^r must be finite and > 0"):
+            kth_d2(idx, k, r)
+        assert kth_d2(idx, 2.0, 1.0).tobytes() == kth_d2(idx, 2, 1.0).tobytes()
+
 
 def test_matches_naive_when_eps_squared_underflows_or_overflows():
     # eps * eps is subnormal, zero or infinite here, and the naive scan's d2
