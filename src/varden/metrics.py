@@ -93,8 +93,8 @@ class EvalReport:
 def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     """Score a labeling (an AdaptiveResult is one) against the dataset's truth.
 
-    DataError for cluster ids that are not contiguous from 0; classes are
-    not read.
+    DataError for cluster ids below -1 or not contiguous from 0; classes
+    are not read.
     """
     if not isinstance(d, LabeledDataset):
         raise MissingGroundTruth(f"expected a LabeledDataset, got {type(d).__name__}")
@@ -102,6 +102,8 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     labels = result.labels
     if labels.shape != truth.shape:
         raise LengthMismatch(f"result covers {labels.shape[0]} points, truth {truth.shape[0]}")
+    if labels.size and labels.min() < NOISE:
+        raise DataError("cluster ids below -1")
 
     n = truth.shape[0]
     k = result.n_clusters

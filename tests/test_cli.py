@@ -118,6 +118,30 @@ class TestDbscan:
         err = capsys.readouterr().err
         assert "line 3, column 1: not UTF-8: byte 0xe9" in err and "Traceback" not in err
 
+    def test_line_endings_and_byte_order_mark_give_the_same_outputs(self, tmp_path):
+        rng = np.random.default_rng(4)
+        text = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in rng.normal(0, 1, (300, 2)).tolist())
+        encodings = {
+            "lf": text.encode(),
+            "crlf": text.replace("\n", "\r\n").encode(),
+            "bom": b"\xef\xbb\xbf" + text.encode(),
+        }
+        outputs = set()
+        for name, data in encodings.items():
+            src, out, svg = (tmp_path / f"{name}.{ext}" for ext in ("in.csv", "csv", "svg"))
+            src.write_bytes(data)
+            argv = ["dbscan", "--in", str(src), "--eps", "0.3", "--min-pts", "5"]
+            assert cli_main([*argv, "--out", str(out), "--svg", str(svg)]) == 0
+            outputs.add((out.read_bytes(), svg.read_bytes()))
+        assert len(outputs) == 1
+
+    def test_form_feed_inside_a_row(self, tmp_path, capsys):
+        # str.splitlines ends line 1 at the form feed, so its second field is empty
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,\x0c2\n")
+        assert cli_main(["dbscan", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "error: line 1, column 2: not a number: ''\n"
+
     def test_invalid_eps_is_data_error(self, tmp_path, dataset_csv):
         code = cli_main(
             ["dbscan", "--in", str(dataset_csv), "--eps", "-3", "--out", str(tmp_path / "o.csv")]

@@ -164,6 +164,12 @@ class TestEvaluate:
         with pytest.raises(DataError, match="cluster ids are not contiguous from 0"):
             evaluate(d, Labeling([2, 2, NOISE], [2, 2, 0]))
 
+    def test_cluster_ids_below_noise(self):
+        # -2 is neither noise nor a cluster: rejected as validate_labeling rejects it
+        d = _labeled([[0, 0], [1, 1], [2, 2], [3, 3]], [0, 0, 1, 1])
+        with pytest.raises(DataError, match="^cluster ids below -1$"):
+            evaluate(d, Labeling([-2, -2, 0, 0], [1, 1, 0, 0]))
+
     def test_dbscan_labeling_round(self):
         rng = np.random.default_rng(11)
         pts = np.vstack([rng.normal(0, 0.05, (40, 2)), rng.normal(3, 0.05, (40, 2))])
