@@ -11,7 +11,8 @@ read_csv parses a file of two-column rows with one np.loadtxt call where
 that must give what its line loop gives: lines end in LF or CR LF, rows
 have two fields, every value is finite (see _loadtxt_coords). Every other
 file, labeled files and files with a bad field among them, goes through
-the loop, which names the first bad field by line and column.
+the loop, which strips each field, parses it and checks it is finite, in
+file order, and so names the first bad field by line and column.
 
 The manifest is a flat ``key value`` text file that re-parses losslessly.
 The tokens of a trace line are defined once, in ``_TRACE_FIELDS``, which
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import codecs
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,7 +85,8 @@ def read_csv(path) -> Dataset | LabeledDataset:
     becomes the truth channel and the class column is ignored. Returns a
     plain Dataset when no truth column is present. A UTF-8 byte order mark
     is skipped, and a byte that is not UTF-8 is a ParseError at its line and
-    field. Errors name the first bad field in file order.
+    field. Each field is stripped (str.strip) before it is parsed, and then
+    checked to be finite; errors name the first bad field in file order.
 
     A file of finite x, y rows is parsed by np.loadtxt in one call; a loop
     over the lines reads every other file and raises every error.
@@ -100,15 +103,13 @@ def read_csv(path) -> Dataset | LabeledDataset:
     values: list[float] = []  # x, y of every data row so far, flat
     truth: list[int] = []
     ncols: int | None = None
-    header = saw_truth = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split(",")
+        fields = [f.strip() for f in line.split(",")]
         if lineno == 1 and not _is_number(fields[0]):
-            header = True
-            continue
+            continue  # a header
         if ncols is None:
             ncols = len(fields)
             if ncols not in (2, 3, 4):
@@ -116,31 +117,18 @@ def read_csv(path) -> Dataset | LabeledDataset:
                     f"line {lineno}: expected 2 coordinate columns plus optional "
                     f"truth/class, got {ncols} fields"
                 )
-            saw_truth = ncols >= 3
         elif len(fields) != ncols:
-            _check_finite(values, text, header)
             raise DimensionMismatch(f"line {lineno}: {len(fields)} fields, expected {ncols}")
-        try:
-            values.append(float(fields[0]))  # float() strips whitespace as str.strip() does
-            values.append(float(fields[1]))
-        except ValueError:
-            col = len(values) % 2 + 1
-            _check_finite(values, text, header)
-            raise ParseError(lineno, col, f"not a number: {fields[col - 1].strip()!r}") from None
-        if saw_truth:
-            t = _parse_truth(fields[2].strip())
+        values += (_coordinate(fields[0], lineno, 1), _coordinate(fields[1], lineno, 2))
+        if ncols >= 3:
+            t = _parse_truth(fields[2])
             if t is None:
-                _check_finite(values, text, header)
-                raise ParseError(
-                    lineno, 3, f"expected a cluster id or {NOISE_TOKEN!r}, got {fields[2].strip()!r}"
-                )
+                raise ParseError(lineno, 3, f"expected a cluster id or {NOISE_TOKEN!r}, got {fields[2]!r}")
             truth.append(t)
     if not values:
         raise ParseError(1, 1, "no data rows")
-    coords = np.array(values, dtype=np.float64).reshape(-1, 2)
-    _check_finite(coords, text, header)
-    ds = Dataset(coords)
-    if saw_truth:
+    ds = Dataset(np.array(values, dtype=np.float64).reshape(-1, 2))
+    if ncols >= 3:
         return LabeledDataset(ds, np.asarray(truth, dtype=np.int64))
     return ds
 
@@ -154,7 +142,7 @@ def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
     classes = labeling.classes
     bad = classes[(classes < 0) | (classes >= len(PointClass))]
     if bad.size:
-        PointClass(int(bad[0]))  # raises the ValueError the enum gives for a bad class code
+        raise DataError(f"{int(bad[0])} is not a valid PointClass")
     tokens = tuple(c.token for c in PointClass)
     coords, labels = dataset.coords, labeling.labels
 
@@ -211,8 +199,9 @@ def _utf8_text(data: bytes) -> str:
 
 # Characters on which np.loadtxt and the line loop part. str.splitlines
 # breaks a line at each but "\x1f", where loadtxt reads on (as it does at a
-# "\r" without "\n"); loadtxt strips "\x1c" to "\x1f" around a number,
-# where float() rejects them.
+# "\r" without "\n"); the loop strips "\x1c" to "\x1f" off each field, as
+# loadtxt does around a number, but _loadtxt_coords does not strip the
+# field it checks for a header, where float() rejects them.
 _LOOP_ONLY = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
 
 
@@ -252,16 +241,15 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _check_finite(values, text: str, header: bool) -> None:
-    """Raise a ParseError at the first non-finite value among values: the
-    x, y of text's data rows, flat, in order (the last row may lack its y)."""
-    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=np.float64).ravel()))
-    if bad.size:
-        row, col = divmod(int(bad[0]), 2)
-        # data rows are the nonblank lines but a header, which can only be the first
-        data = [(i, line) for i, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
-        lineno, line = data[header + row]
-        raise ParseError(lineno, col + 1, f"non-finite coordinate: {line.split(',')[col].strip()!r}")
+def _coordinate(s: str, line: int, column: int) -> float:
+    """The finite float field s names; a ParseError at its line and column otherwise."""
+    try:
+        v = float(s)
+    except ValueError:
+        raise ParseError(line, column, f"not a number: {s!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(line, column, f"non-finite coordinate: {s!r}")
+    return v
 
 
 def _parse_truth(s: str) -> int | None:

@@ -25,8 +25,8 @@ core_d2 holds np.maximum(kth_d2(index, min_pts, hi), lo * lo), which no
 labeling(eps) with eps >= lo can tell from the exact value. Every other
 pair within hi is measured once: it joins the components at every eps of
 the bracket when its mutual reachability max(d2, core_d2[i], core_d2[j]) is
-at most lo * lo, and is otherwise kept for labeling(eps) while one of its
-ends is core at hi.
+at most lo * lo, before the sweep moves on to the next tile, and is
+otherwise kept for labeling(eps) while one of its ends is core at hi.
 
 The four predicates (classify_point, is_directly_density_reachable,
 is_density_reachable, is_density_connected) state DBSCAN's definitions
@@ -60,7 +60,6 @@ from .model import (
 )
 from .neighborhood import NeighborIndex, _axis_d2, _cells, _kth_d2, build_index, region_query
 
-_UNION_BUDGET = 1 << 10  # base-forest edges an EpsBracket buffers between unions
 _PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
 
 
@@ -133,10 +132,8 @@ class EpsBracket:
     smallest index, and its points get core_d2 = lo * lo without a
     partition. The cells are the tiles' blocks (NeighborIndex.tiles), swept
     first: a block gathers its candidates from the tiles' grid around its
-    bounding box, its rows only meet swept points outside its component, and
-    its buffered edges are joined after each of its tiles, so the next one
-    skips the candidates they joined. n coincident points cost O(n log n),
-    not n * n / 32 d2 entries.
+    bounding box, and its rows only meet swept points outside its component.
+    n coincident points cost O(n log n), not n * n / 32 d2 entries.
 
     A tile fixes its rows' core distances, so each pair within hi is decided
     once, in the tile of whichever end is swept later (within one tile, at
@@ -145,17 +142,21 @@ class EpsBracket:
     the sweep positions, then the roots, then the core distances are read
     per hit, each only for the hits the step before kept. A pair whose
     mutual reachability is <= lo * lo is an edge at every eps of the
-    bracket, so it joins the forest (buffered unions, each run of one
-    row's edges into one component buffered once); NaN never passes that
-    one comparison. A pair with neither end core at hi is never an edge
-    nor a border link, and is dropped. The rest are kept as (i, j, d2), and
-    whenever too many have come in they are cut to the closest pair between
-    two base components (or a component and a point, or two points): the two
-    sides touch at eps exactly when that pair is within eps, and either end
-    stands for its component. ``labeling(eps)`` joins the kept core-core
-    pairs within eps into a copy of the forest and reads the border links
-    off the rest, with no scan. Memory is O(n + kept pairs + one tile).
-    run_dbscan labels through the bracket at lo = hi = eps.
+    bracket, so it joins the forest; NaN never passes that one comparison.
+    Each tile's edges are joined in one union at the end of the tile (each
+    run of one row's edges into one component once), so no later tile
+    decides a pair that this one joined: a block never gathers such a
+    candidate again, as NeighborIndex.tiles promises a caller that joins
+    each tile before the next, and a row drops such a hit at the roots. A
+    pair with neither end core at hi is never an edge nor a border link,
+    and is dropped. The rest are kept as (i, j, d2), and whenever too many
+    have come in they are cut, against the current forest, to the closest
+    pair between two base components (or a component and a point, or two
+    points): the two sides touch at eps exactly when that pair is within
+    eps, and either end stands for its component. ``labeling(eps)`` joins
+    the kept core-core pairs within eps into a copy of the forest and reads
+    the border links off the rest, with no scan. Memory is O(n + kept pairs
+    + one tile). run_dbscan labels through the bracket at lo = hi = eps.
     """
 
     __slots__ = ("lo", "core_d2", "_parent", "_pairs")
@@ -168,18 +169,15 @@ class EpsBracket:
         core_d2 = np.where(certified, lo2, np.nan)
         swept = np.full(n, n)  # each point's position in the sweep; n until its tile comes
         done = 0
-        edges: list[tuple[np.ndarray, np.ndarray]] = []
         kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
-        buffered = held = cut = 0
+        held = cut = 0
         for rows, i, j, d2 in index.tiles(hi, lambda p: _find(parent, p)):
-            block = certified[rows[0]]  # a certified cell's rows, against the swept points outside its component
-            if not block:
+            if not certified[rows[0]]:  # a certified cell's rows meet only the swept points outside its component
                 core_d2[rows] = _kth_d2(i, d2, min_pts, rows.size, lo2, hi2)
             pos = np.arange(done, done + rows.size)
             done += rows.size
             swept[rows] = pos
-            # these stay roots, as _union needs, until the buffered edges are joined
-            ru = _find(parent, rows)
+            ru = _find(parent, rows)  # roots, as _union needs, until this tile's edges are joined
             k = np.flatnonzero(swept[j] < pos[i])  # each pair once, from its later end
             k = k[_find(parent, j[k]) != ru[i[k]]]  # and only while its ends lie in two components
             i, j, d2 = i[k], j[k], d2[k]
@@ -188,22 +186,13 @@ class EpsBracket:
             fold = np.maximum(np.maximum(d2, ci), cj) <= lo2
             u, v = ru[i[fold]], rv[fold]
             new = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))[: u.size]  # the same edge comes in runs: one of each
-            edges.append((u[new], v[new]))
-            buffered += edges[-1][0].size
+            _union(parent, u[new], v[new])  # before the next tile, which then skips what this one joined
             keep = ~fold & ((ci <= hi2) | (cj <= hi2))
             kept.append((rows[i[keep]], j[keep], d2[keep]))
             held += kept[-1][0].size
-            cutting = held > _PAIR_BUDGET + 2 * cut
-            # join the buffer before a cut (fewer components, fewer pairs kept),
-            # and after a block's tile, so that its next tile skips what this one joined
-            if cutting or block or buffered >= _UNION_BUDGET:
-                _union(parent, *map(np.concatenate, zip(*edges)))
-                edges, buffered = [], 0
-            if cutting:
+            if held > _PAIR_BUDGET + 2 * cut:
                 kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
                 held = cut = kept[0][0].size
-        if buffered:
-            _union(parent, *map(np.concatenate, zip(*edges)))
         self.lo = lo
         self.core_d2 = core_d2
         self._pairs = tuple(map(np.concatenate, zip(*kept)))

@@ -12,8 +12,9 @@ k-th smallest d2 off the hits, for every point or only for the rows
 asked for, so a caller can retry the rows it still needs at a larger
 radius; dbscan.EpsBracket reads the same values inside its own sweep
 (``_kth_d2``), so one sweep both fixes the core set and joins, and
-passes ``tiles`` the roots of its union-find, so that points it already
-knows to be joined are never measured against each other. dbscan's
+passes ``tiles`` the roots of its union-find, joining each tile's pairs
+before it asks for the next, so that points it already knows to be
+joined are never measured against each other. dbscan's
 certified cells use the same cell code (``_cells``) at their own side, and
 measure their bounding boxes' diagonals with the same ``_axis_d2``.
 """
@@ -160,11 +161,12 @@ class NeighborIndex:
         share one candidate row of the points already swept that lie outside
         the block's component. A block gathers its candidates once, from its
         bounding box, and re-roots the rest before each of its tiles, so a
-        caller that joins a tile's pairs before the next one never meets a
-        joined candidate again. Its tiles grow from 1 row to 32, so that its
-        first row's joins spare the rest; once no candidate is left, the
-        rest of the block is one tile with no hits. Only the other points'
-        hits are their whole neighborhoods.
+        caller that joins a tile's pairs before the next one, as
+        dbscan.EpsBracket does, never meets a joined candidate again. Its
+        tiles grow from 1 row to 32, so that its first row's joins spare
+        the rest; once no candidate is left, the rest of the block is one
+        tile with no hits. Only the other points' hits are their whole
+        neighborhoods.
         """
         eps = check_float(eps, "eps", 0)
         grid = _Grid(self, eps)

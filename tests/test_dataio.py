@@ -309,6 +309,8 @@ def _parsed(read):
 _UNUSUAL_TEXTS = [
     *(t for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029" for t in (f"1{c}5,2\n", f"1,{c}2\n", f"1,2{c}\n3,4\n")),
     "1\x1f5,2\n",
+    "1,\x1f2\n",
+    "1\x1f,2\n3,4\n",
     "1,2\x1f\n3,4\n",
     "\x1f-0,1\n3,4\n",
     "1,2\r3,4\r",
@@ -369,7 +371,7 @@ class TestColumnarMatchesRowLoops:
 
     def test_bad_class_code_raises_the_enum_error(self, tmp_path):
         ds, _ = adversarial_scene(0, n=4)
-        with pytest.raises(ValueError, match="^7 is not a valid PointClass$"):
+        with pytest.raises(DataError, match="^7 is not a valid PointClass$"):
             write_csv(ds, Labeling([0, 0, 0, 0], [2, 7, -1, 9]), tmp_path / "x.csv")
 
     @pytest.mark.parametrize("seed", range(200))
@@ -422,14 +424,12 @@ class TestColumnarMatchesRowLoops:
         want = _parsed(lambda: _reference_read_csv(text.removeprefix("\ufeff")))
         assert _parsed(lambda: read_csv(f)) == want
 
-    def test_unit_separator_before_a_number_is_the_loops_error(self, tmp_path):
-        # the reference strips each field before float(); the reader (and
-        # float()) do not strip \x1f, which loadtxt would skip
+    def test_unit_separator_is_stripped_off_a_field(self, tmp_path):
+        # str.strip strips \x1f where float() does not: each field is stripped first
         f = tmp_path / "d.csv"
-        f.write_bytes(b"1,\x1f2\n")
-        with pytest.raises(ParseError) as got:
-            read_csv(f)
-        assert (got.value.line, got.value.column) == (1, 2)
+        for text in (b"1,\x1f2\n", b"1\x1f,2\n"):
+            f.write_bytes(text)
+            assert read_csv(f).coords.tolist() == [[1.0, 2.0]]
 
     def test_two_column_file_is_read_without_the_line_loop(self, tmp_path):
         # the line loop holds a float and a list slot per value, 2.7 MiB traced

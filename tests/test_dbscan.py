@@ -480,7 +480,7 @@ def test_adversarial_coordinates_match_reference(seed):
 @pytest.mark.parametrize("min_pts", [4, 80])
 def test_matches_reference_across_union_flushes(min_pts):
     # 1000 lattice points, about 62 per ball: at min_pts 4 all
-    # 30k core-core pairs, more than one union buffer holds; at 80, four
+    # 30k core-core pairs, joined tile by tile over many tiles; at 80, four
     # clusters and 532 border points
     rng = np.random.default_rng(min_pts)
     ds = Dataset(rng.integers(0, 40, size=(1000, 2)) * 0.25)
@@ -489,6 +489,36 @@ def test_matches_reference_across_union_flushes(min_pts):
     labels, classes = _reference_dbscan(ds, params)
     assert lab.labels.tolist() == labels
     assert lab.classes.tolist() == classes
+
+
+@pytest.mark.parametrize("lo, hi", [(0.7, 0.7), (0.7, 1.0)])
+def test_each_tile_is_joined_before_the_next(monkeypatch, lo, hi):
+    # when the sweep asks for a tile, every pair it has been given with both
+    # ends swept and mutual reachability within lo already shares one root;
+    # 2000 points with no certified cell, so all 7 to 11 tiles are row tiles,
+    # for which tiles never calls roots: a sweep that held a tile's edges
+    # back past the next tile fails here
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.uniform(0, 20, size=(2000, 2)))
+    index = build_index(ds)
+    core = kth_d2(index, 8, hi)
+    given, checked = [], []
+    tiles = NeighborIndex.tiles
+
+    def joined(self, eps, roots=None, rows=None):
+        assert np.array_equal(roots(np.arange(len(ds))), np.arange(len(ds)))  # no block
+        for tile in tiles(self, eps, roots, rows):
+            yield tile
+            given.append(tile)
+            swept = np.isin(np.arange(len(ds)), np.concatenate([t[0] for t in given]))
+            a, b, d2 = (np.concatenate(x) for x in zip(*((t[0][t[1]], t[2], t[3]) for t in given)))
+            fold = swept[b] & (np.maximum(np.maximum(d2, core[a]), core[b]) <= lo * lo)
+            assert np.array_equal(roots(a[fold]), roots(b[fold]))
+            checked.append(fold.sum())
+
+    monkeypatch.setattr(NeighborIndex, "tiles", joined)
+    EpsBracket(index, 8, lo, hi)
+    assert len(checked) > 3 and 0 < checked[0] < checked[-1]
 
 
 def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
