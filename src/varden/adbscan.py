@@ -66,8 +66,10 @@ def accept_cluster(labeling: Labeling, n_original: int, accept_fraction: float) 
 
     The bar is strict: size > accept_fraction * n_original, with n_original
     the size of the dataset the whole adaptive run started from. Ties go to
-    the lowest cluster id.
+    the lowest cluster id. DataError for cluster ids below -1.
     """
+    if (labeling.labels < NOISE).any():
+        raise DataError("cluster ids below -1")
     if labeling.n_clusters == 0:
         return None
     sizes = np.bincount(labeling.labels[labeling.labels != NOISE], minlength=labeling.n_clusters)
@@ -78,7 +80,12 @@ def accept_cluster(labeling: Labeling, n_original: int, accept_fraction: float) 
 
 
 def remove_cluster(dataset: Dataset, labeling: Labeling, cluster_id: int) -> tuple[Dataset, np.ndarray]:
-    """Drop one cluster's points; returns the survivors and their old indices."""
+    """Drop one cluster's points; returns the survivors and their old indices.
+
+    DataError unless the labeling covers the dataset's points.
+    """
+    if len(labeling) != len(dataset):
+        raise DataError(f"labeling covers {len(labeling)} points, dataset has {len(dataset)}")
     cluster_id = check_int(cluster_id, "cluster id", 0, labeling.n_clusters)
     keep = np.flatnonzero(labeling.labels != cluster_id)
     return Dataset(dataset.coords[keep]), keep

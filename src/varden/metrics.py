@@ -107,16 +107,21 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
 
     n = truth.shape[0]
     k = result.n_clusters
-    purity = []
-    for cid in range(k):
-        member_truth = truth[labels == cid]
-        if not member_truth.size:
-            raise DataError("cluster ids are not contiguous from 0")
-        top = Counter(member_truth.tolist()).most_common(1)[0][1]
-        purity.append(top / member_truth.size)
+    clustered = labels != NOISE
+    cid, member_truth = labels[clustered], truth[clustered]
+    # ids 0..k-1 need k points, which bounds the count array
+    if k > cid.size or not (size := np.bincount(cid, minlength=k)).all():
+        raise DataError("cluster ids are not contiguous from 0")
+    # sorted by (cluster, truth), a cluster's majority truth count is its longest run of one truth label
+    order = np.lexsort((member_truth, cid))
+    cid, member_truth = cid[order], member_truth[order]
+    new = np.diff(cid, prepend=NOISE) != 0
+    new[1:] |= np.diff(member_truth) != 0
+    starts = np.flatnonzero(new)
+    top = np.maximum.reduceat(np.diff(starts, append=cid.size), np.searchsorted(cid[starts], np.arange(k)))
     return EvalReport(
         num_clusters_found=k,
         ari=adjusted_rand_index(truth.tolist(), labels.tolist()),
         noise_fraction=int(np.count_nonzero(labels == NOISE)) / n,
-        per_cluster_purity=tuple(purity),
+        per_cluster_purity=tuple((top / size).tolist()),
     )

@@ -244,6 +244,7 @@ class Labeling:
 
     labels: int array, cluster id per point, NOISE (-1) for unclustered.
     classes: int8 array of PointClass values, aligned with labels.
+    DataError unless labels is 1-d and classes has its shape.
     """
 
     labels: np.ndarray
@@ -252,6 +253,10 @@ class Labeling:
     def __post_init__(self) -> None:
         labels = _integers(self.labels, np.int64, "cluster labels")
         classes = _integers(self.classes, np.int8, "point classes")
+        if labels.ndim != 1:
+            raise DataError(f"cluster labels must be 1-d, got shape {labels.shape}")
+        if classes.shape != labels.shape:
+            raise DataError(f"labels and classes have different shapes, {labels.shape} and {classes.shape}")
         labels.flags.writeable = False
         classes.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -271,12 +276,11 @@ class Labeling:
 def validate_labeling(lab: Labeling, n: int | None = None) -> None:
     """Raise DataError unless lab is internally consistent.
 
-    Checks: labels/classes aligned (and of length n when given), labels >= -1,
+    Checks: length n when given (labels and classes are aligned 1-d arrays
+    by construction), labels >= -1,
     cluster ids contiguous from 0, and label == NOISE exactly where the class
     is NOISE.
     """
-    if lab.labels.shape != lab.classes.shape:
-        raise DataError("labels and classes have different shapes")
     if n is not None and len(lab) != n:
         raise DataError(f"labeling covers {len(lab)} points, expected {n}")
     if lab.labels.size == 0:

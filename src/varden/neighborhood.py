@@ -76,16 +76,10 @@ def _cells(x: np.ndarray, side: float) -> np.ndarray:
 
 
 class NeighborIndex:
-    """Sweep index: the points sorted once, stably, along the axis of largest spread.
-
-    A query binary-searches the slab |p_a - q_a| <= w and keeps the points in it
-    with d2 <= eps * eps; the sort does not depend on eps, so one index serves
-    every radius. A hit only has fl(diff * diff) <= fl(eps * eps), so |p_a - q_a|
-    may reach eps * (1 + 3u) and an unpadded q_a -+ eps slab drops it; with
-    w = eps * (1 + 2^-50) and monotone rounding the slab is a superset and the
-    d2 test decides. eps is floored at 2^-511, below which eps * eps is
-    subnormal; once eps * eps overflows, w is infinite and the slab is the
-    whole axis.
+    """Sweep index: the dataset, the order of its points sorted once, stably,
+    along the axis of largest spread, and their coordinates on that axis (the
+    keys) in that order. The sort does not depend on eps, so one index serves
+    every radius.
 
     ``tiles`` answers every query at once, in bounded blocks, from a grid of
     side w (Gan & Tao, SIGMOD 2015). On every axis but the sweep axis a point
@@ -100,7 +94,7 @@ class NeighborIndex:
     coordinate is at least fl(min - w) and at most fl(max + w), and by the
     same monotone f its cell lies between those bounds' cells: the
     candidates are a superset of the hits and the d2 test decides, exactly
-    as in a query. No neighbour cell is named as c +- 1, so cells that the
+    as in region_query. No neighbour cell is named as c +- 1, so cells that the
     clip or rounding merges stay correct. With one axis the single column is
     the slab. A tile is a run of rows in that order, sized by its widest
     row rather than its rows, and each row meets only its own box: on 2-D
@@ -108,7 +102,7 @@ class NeighborIndex:
     of a sparse column shared about 115.
     """
 
-    __slots__ = ("dataset", "_axis", "_order", "_sorted", "_keys")
+    __slots__ = ("dataset", "_axis", "_order", "_keys")
 
     def __init__(self, dataset: Dataset) -> None:
         if dataset.dim == 0:
@@ -118,18 +112,7 @@ class NeighborIndex:
         spread = np.ptp(dataset.coords, axis=0) if len(dataset) else np.zeros(dataset.dim)
         self._axis = int(np.argmax(spread))
         self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
-        self._sorted = dataset.coords[self._order]
-        self._keys = np.ascontiguousarray(self._sorted[:, self._axis])
-
-    def query(self, q, eps: float) -> np.ndarray:
-        """Ascending indices of the points within eps of q (a point index or coordinates)."""
-        qc = _query_coords(self.dataset, q)
-        eps = check_float(eps, "eps", 0)
-        qa = float(qc[self._axis])
-        w = _half_width(eps)
-        lo = int(np.searchsorted(self._keys, qa - w, side="left"))
-        hi = int(np.searchsorted(self._keys, qa + w, side="right"))
-        return np.sort(self._order[lo:hi][_axis_d2(self._sorted[lo:hi].T, qc) <= eps * eps])
+        self._keys = dataset.coords[self._order, self._axis]
 
     def tiles(self, eps: float, roots=None, rows=None):
         """Yield (rows, i, j, d2) hit lists that together hold every neighborhood.
@@ -201,14 +184,15 @@ class _Grid:
     def __init__(self, index: NeighborIndex, eps: float) -> None:
         self.w, self.e2, self.axis, self.sweep = _half_width(eps), eps * eps, index._axis, index._keys
         self.others = [ax for ax in range(index.dataset.dim) if ax != self.axis]
-        cells = _cells(index._sorted[:, self.others], self.w)
-        by_cell = np.lexsort((index._keys, *cells.T[::-1]))
+        coords = index.dataset.coords
+        cells = [_cells(coords[index._order, ax], self.w) for ax in self.others]  # per axis, in sweep order
+        by_cell = np.lexsort((index._keys, *cells[::-1]))
         n = by_cell.size
-        self.order, cells = index._order[by_cell], cells[by_cell]  # the point ids by grid position
-        self.axes = [index._sorted[by_cell, ax] for ax in range(index.dataset.dim)]  # contiguous, with no copy of all the points first
+        self.order = index._order[by_cell]  # the point ids by grid position
+        self.axes = [coords[self.order, ax] for ax in range(index.dataset.dim)]  # contiguous, with no copy of all the points first
         self.occupied, self.prefixes = [], []  # each axis's cells that hold a point; each prefix length's keys
         col = np.zeros(n, dtype=np.int64)
-        for c in cells.T:
+        for c in (x[by_cell] for x in cells):  # by grid position
             occupied = np.sort(c)
             self.occupied.append(occupied[np.diff(occupied, prepend=-np.inf) > 0])
             key = col * self.occupied[-1].size + np.searchsorted(self.occupied[-1], c)  # ascending
@@ -324,8 +308,24 @@ def build_index(dataset: Dataset) -> NeighborIndex:
 
 
 def region_query(index: NeighborIndex, q, eps: float) -> np.ndarray:
-    """Closed-ball radius query through the index; see NeighborIndex.query."""
-    return index.query(q, eps)
+    """Ascending indices of the points within eps of q (a point index or coordinates), through the index.
+
+    The query binary-searches the slab |p_a - q_a| <= w of the index's keys
+    and keeps the points in it with d2 <= eps * eps. A hit only has
+    fl(diff * diff) <= fl(eps * eps), so |p_a - q_a| may reach
+    eps * (1 + 3u) and an unpadded q_a -+ eps slab drops it; with
+    w = eps * (1 + 2^-50) and monotone rounding the slab is a superset and
+    the d2 test decides. eps is floored at 2^-511, below which eps * eps is
+    subnormal; once eps * eps overflows, w is infinite and the slab is the
+    whole axis.
+    """
+    qc = _query_coords(index.dataset, q)
+    eps = check_float(eps, "eps", 0)
+    w = _half_width(eps)
+    lo = int(np.searchsorted(index._keys, qc[index._axis] - w, side="left"))
+    hi = int(np.searchsorted(index._keys, qc[index._axis] + w, side="right"))
+    ids = index._order[lo:hi]
+    return np.sort(ids[_axis_d2(index.dataset.coords[ids].T, qc) <= eps * eps])
 
 
 def region_query_naive(dataset: Dataset, q, eps: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_par
 from varden.dbscan import EpsBracket, run_dbscan
 from varden.model import (
     AdbscanParams,
+    DataError,
     Dataset,
     DbscanParams,
     LabeledDataset,
@@ -96,6 +97,12 @@ class TestAcceptCluster:
         lab = Labeling([NOISE, NOISE], [0, 0])
         assert accept_cluster(lab, 2, 0.10) is None
 
+    @pytest.mark.parametrize("labels", [[-2, 0, 0], [-2, NOISE, NOISE]])
+    def test_cluster_ids_below_noise_rejected(self, labels):
+        # a raw ValueError from bincount, or None, before
+        with pytest.raises(DataError, match="^cluster ids below -1$"):
+            accept_cluster(Labeling(labels, [0, 2, 2]), 3, 0.10)
+
 
 class TestRemoveCluster:
     def test_drops_members_and_maps_survivors(self):
@@ -118,6 +125,13 @@ class TestRemoveCluster:
         lab = Labeling([0, 1, 2], [2, 2, 2])
         with pytest.raises(ParamError, match="cluster id"):
             remove_cluster(ds, lab, cid)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_labeling_that_does_not_cover_the_dataset_rejected(self, size):
+        # a shorter labeling used to drop none of 3 points, a longer one raised a raw IndexError
+        ds = Dataset(np.zeros((3, 2)))
+        with pytest.raises(DataError, match=f"^labeling covers {size} points, dataset has 3$"):
+            remove_cluster(ds, Labeling([0] * size, [2] * size), 0)
 
     def test_integral_cluster_id_accepted(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2))

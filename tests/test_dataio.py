@@ -187,6 +187,13 @@ class TestWriteCsv:
         with pytest.raises(DataError):
             write_csv(self._ds(), Labeling([0], [2]), tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("labels, classes", [([0, 0, 1], [2]), ([[0], [0], [1]], [[2], [2], [2]])])
+    def test_labeling_of_the_wrong_shape(self, tmp_path, labels, classes):
+        # one class for 3 labels used to write one data row for 3 points, a 3 x 1 labeling a raw TypeError
+        with pytest.raises(DataError, match="1-d|different shapes"):
+            write_csv(self._ds(), Labeling(labels, classes), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_2d_rejected(self, tmp_path):
         ds = Dataset(np.zeros((2, 3)))
         with pytest.raises(DataError):

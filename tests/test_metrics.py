@@ -1,6 +1,9 @@
 """ARI against an independent pair-enumeration oracle, plus the report
 builder. The oracle walks all C(n,2) pairs and uses the 2x2 contingency
 form, sharing no code with the library's contingency-table version."""
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,16 +162,49 @@ class TestEvaluate:
             evaluate(d, Labeling([0], [2]))
 
     def test_non_contiguous_cluster_ids(self):
-        # clusters 0 and 1 are empty: a DataError, not an IndexError from the purity loop
+        # clusters 0 and 1 are empty: a DataError, not an IndexError from the purity loop,
+        # and at 2**40 before anything is allocated per cluster id
         d = _labeled([[0, 0], [1, 1], [2, 2]], [0, 0, NOISE])
-        with pytest.raises(DataError, match="cluster ids are not contiguous from 0"):
-            evaluate(d, Labeling([2, 2, NOISE], [2, 2, 0]))
+        for cid in (2, 2**40):
+            with pytest.raises(DataError, match="cluster ids are not contiguous from 0"):
+                evaluate(d, Labeling([cid, cid, NOISE], [2, 2, 0]))
 
     def test_cluster_ids_below_noise(self):
         # -2 is neither noise nor a cluster: rejected as validate_labeling rejects it
         d = _labeled([[0, 0], [1, 1], [2, 2], [3, 3]], [0, 0, 1, 1])
         with pytest.raises(DataError, match="^cluster ids below -1$"):
             evaluate(d, Labeling([-2, -2, 0, 0], [1, 1, 0, 0]))
+
+    @pytest.mark.parametrize("labels, classes", [([0, 1], [2]), ([[0], [0]], [[2], [2]])])
+    def test_labeling_of_the_wrong_shape(self, labels, classes):
+        # one class for 2 labels used to be scored, and a 2 x 1 labeling was reported as "result covers 2 points, truth 2"
+        d = _labeled([[0, 0], [1, 1]], [0, 0])
+        with pytest.raises(DataError, match="1-d|different shapes"):
+            evaluate(d, Labeling(labels, classes))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_purity_matches_a_counting_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 400, 30
+        ids = rng.integers(NOISE, k, n)
+        labels = np.where(ids >= 0, np.searchsorted(np.unique(ids[ids >= 0]), ids), NOISE)
+        d = _labeled(np.zeros((n, 2)), rng.integers(NOISE, 6, n))
+        rep = evaluate(d, Labeling(labels, np.where(labels >= 0, 2, 0)))
+        want = []
+        for cid in range(labels.max() + 1):
+            member_truth = d.truth[labels == cid].tolist()
+            want.append(Counter(member_truth).most_common(1)[0][1] / len(member_truth))
+        assert rep.per_cluster_purity == tuple(want)
+        assert all(type(p) is float for p in rep.per_cluster_purity)
+
+    def test_many_clusters_are_scored_in_one_sort(self):
+        # 1e5 singleton clusters took about 4 s with one mask per cluster
+        n = 100_000
+        d = _labeled(np.zeros((n, 1)), np.arange(n) % 7)
+        start = time.perf_counter()
+        rep = evaluate(d, Labeling(np.arange(n), np.full(n, 2)))
+        assert time.perf_counter() - start < 1.0
+        assert rep.num_clusters_found == n and rep.per_cluster_purity == (1.0,) * n
 
     def test_dbscan_labeling_round(self):
         rng = np.random.default_rng(11)

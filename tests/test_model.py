@@ -219,6 +219,17 @@ class TestLabeling:
         with pytest.raises(DataError, match="malformed (cluster labels|point classes)"):
             Labeling(labels, classes)
 
+    @pytest.mark.parametrize("cls", [Labeling, AdaptiveResult])
+    def test_labels_must_be_one_dimensional(self, cls):
+        with pytest.raises(DataError, match=r"^cluster labels must be 1-d, got shape \(1, 1\)$"):
+            cls([[0]], [[2]])
+
+    @pytest.mark.parametrize("cls", [Labeling, AdaptiveResult])
+    @pytest.mark.parametrize("classes", [[2], [2, 2, 2], [[2, 2]]])
+    def test_classes_must_align_with_labels(self, cls, classes):
+        with pytest.raises(DataError, match=r"^labels and classes have different shapes, \(2,\) and"):
+            cls([0, 0], classes)
+
     def test_integral_floats_are_their_integers(self):
         lab = Labeling([0.0, -1.0], [2.0, 0.0])
         assert lab.labels.dtype == np.int64 and lab.labels.tolist() == [0, NOISE]

@@ -3,6 +3,7 @@ through the tiles) must match the naive scan exactly, boundary points
 included, and a k-d tree away from ties."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_matches_naive_random(dim, seed):
         q = int(rng.integers(0, len(ds)))
         eps = float(rng.uniform(0.05, 6.0))
         assert np.array_equal(region_query(idx, q, eps), region_query_naive(ds, q, eps))
+    for _ in range(25):  # coordinates that are no point of the dataset, some outside its range
+        qc = rng.uniform(-7, 7, size=dim)
+        eps = float(rng.uniform(0.05, 6.0))
+        assert np.array_equal(region_query(idx, qc, eps), region_query_naive(ds, qc, eps))
+
+
+def test_index_holds_no_copy_of_the_points():
+    # 1e5 3-D points: the sweep order and the sweep keys take 0.8 MB each,
+    # and a second copy of the points would add 2.4 MB
+    ds = Dataset(np.random.default_rng(0).normal(size=(100_000, 3)))
+    tracemalloc.start()
+    try:
+        idx = build_index(ds)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
+    assert np.array_equal(region_query(idx, 0, 0.1), region_query_naive(ds, 0, 0.1))
 
 
 def test_matches_naive_at_exact_boundary_radii():
