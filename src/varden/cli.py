@@ -24,6 +24,7 @@ from .adbscan import _tuned_scan, run_adbscan
 from .dataio import (
     FileNotFound,
     RunManifest,
+    _FormattedDataset,
     dataset_hash,
     read_csv,
     write_csv,
@@ -173,7 +174,8 @@ def _cmd_compare(args) -> int:
     seed = _resolve_seed(args.seed, spec.seed)
     spec = replace(spec, seed=seed)
     labeled = gen_scenario(spec)
-    ds = labeled.dataset
+    ds = _FormattedDataset(labeled.dataset.coords)  # every file below shares its coordinate text
+    labeled = LabeledDataset(ds, labeled.truth)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(labeled, out / "dataset.csv")

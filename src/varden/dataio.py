@@ -144,12 +144,11 @@ def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
     if bad.size:
         raise DataError(f"{int(bad[0])} is not a valid PointClass")
     tokens = tuple(c.token for c in PointClass)
-    coords, labels = dataset.coords, labeling.labels
+    labels = labeling.labels
 
     def rows(b: slice) -> str:
-        xs, ys = coords[b].T.tolist()
-        cells = zip(xs, ys, labels[b].tolist(), classes[b].tolist())
-        return "".join(f"{x!r},{y!r},{lab},{tokens[c]}\n" for x, y, lab, c in cells)
+        cells = zip(_coordinate_text(dataset, _xy_text, b), labels[b].tolist(), classes[b].tolist())
+        return "".join(f"{xy},{lab},{tokens[c]}\n" for xy, lab, c in cells)
 
     _write_blocks(path, len(dataset), "x,y,cluster,class\n", rows)
 
@@ -158,14 +157,48 @@ def write_dataset_csv(d: LabeledDataset, path) -> None:
     """Write a generated dataset with truth: `x,y,label`, noise as a token."""
     if d.dataset.dim != 2:
         raise DataError(f"CSV schema is 2-d, dataset is {d.dataset.dim}-d")
-    coords, truth = d.dataset.coords, d.truth
+    truth = d.truth
 
     def rows(b: slice) -> str:
-        xs, ys = coords[b].T.tolist()
-        cells = zip(xs, ys, truth[b].tolist())
-        return "".join(f"{x!r},{y!r},{NOISE_TOKEN if t == NOISE else t}\n" for x, y, t in cells)
+        cells = zip(_coordinate_text(d.dataset, _xy_text, b), truth[b].tolist())
+        return "".join(f"{xy},{NOISE_TOKEN if t == NOISE else t}\n" for xy, t in cells)
 
     _write_blocks(path, len(d), "x,y,label\n", rows)
+
+
+def _xy_text(coords: np.ndarray) -> list[str]:
+    """Each 2-D row's `x,y` CSV text, each coordinate as its repr."""
+    xs, ys = coords.T.tolist()
+    return [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+
+
+class _FormattedDataset(Dataset):
+    """A Dataset that keeps the text each format makes of its coordinates, for a caller that writes them to several files.
+
+    cli compare writes the same points' x,y text to three CSVs and the same
+    circle positions to two SVGs. The coordinates are read-only, so the
+    kept text never goes stale, and it lives as long as the dataset. Not a
+    dataclass of its own: the decorator would cost every import 0.7 ms.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "texts", {})  # (format, its arguments) -> every row's text
+
+
+def _coordinate_text(dataset: Dataset, fmt, b: slice, *args) -> list[str]:
+    """fmt(dataset.coords[b], *args): one string per row of the block b.
+
+    A _FormattedDataset formats all its rows once per (fmt, args) and
+    slices that; any other dataset formats the block alone, so a writer's
+    memory stays one block's text.
+    """
+    if not isinstance(dataset, _FormattedDataset):
+        return fmt(dataset.coords[b], *args)
+    key = (fmt, *args)
+    if key not in dataset.texts:
+        dataset.texts[key] = fmt(dataset.coords, *args)
+    return dataset.texts[key][b]
 
 
 def _write_blocks(path, n: int, head: str, rows, tail: str = "") -> None:

@@ -153,13 +153,17 @@ class EpsBracket:
     have come in they are cut, against the current forest, to the closest
     pair between two base components (or a component and a point, or two
     points): the two sides touch at eps exactly when that pair is within
-    eps, and either end stands for its component. ``labeling(eps)`` joins
+    eps, and either end stands for its component. A tile whose rows have no
+    hit (a block with no candidate left) only takes its sweep positions.
+    ``labeling(eps)`` numbers the roots view at eps (_roots), which joins
     the kept core-core pairs within eps into a copy of the forest and reads
-    the border links off the rest, with no scan. Memory is O(n + kept pairs
-    + one tile). run_dbscan labels through the bracket at lo = hi = eps.
+    the border links off the rest, with no scan; the tuner reads that view
+    alone, and skips a probe whose rank (_rank) it has already answered.
+    Memory is O(n + kept pairs + one tile). run_dbscan labels through the
+    bracket at lo = hi = eps.
     """
 
-    __slots__ = ("lo", "core_d2", "_parent", "_pairs")
+    __slots__ = ("lo", "core_d2", "_parent", "_pairs", "_critical")
 
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
@@ -172,11 +176,13 @@ class EpsBracket:
         kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
         held = cut = 0
         for rows, i, j, d2 in index.tiles(hi, lambda p: _find(parent, p)):
-            if not certified[rows[0]]:  # a certified cell's rows meet only the swept points outside its component
-                core_d2[rows] = _kth_d2(i, d2, min_pts, rows.size, lo2, hi2)
             pos = np.arange(done, done + rows.size)
             done += rows.size
             swept[rows] = pos
+            if not i.size:  # a block's rows with no candidate left: certified, so their core_d2 is set
+                continue
+            if not certified[rows[0]]:  # a certified cell's rows meet only the swept points outside its component
+                core_d2[rows] = _kth_d2(i, d2, min_pts, rows.size, lo2, hi2)
             ru = _find(parent, rows)  # roots, as _union needs, until this tile's edges are joined
             k = np.flatnonzero(swept[j] < pos[i])  # each pair once, from its later end
             k = k[_find(parent, j[k]) != ru[i[k]]]  # and only while its ends lie in two components
@@ -198,12 +204,30 @@ class EpsBracket:
         self._pairs = tuple(map(np.concatenate, zip(*kept)))
         _find(parent, np.arange(parent.size))
         self._parent = parent
+        self._critical = None
 
     def labeling(self, eps: float) -> Labeling:
         """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi].
 
-        Cluster ids go by each component's smallest core index, and a border
-        point takes the smallest id among its core neighbors.
+        The clusters are numbered in the order of their roots (_roots), and a
+        border point takes its root's cluster.
+        """
+        roots = self._roots(eps)
+        n = roots.size
+        clustered = roots < n
+        labels = np.full(n, NOISE, dtype=np.int64)
+        labels[clustered] = np.unique(roots[clustered], return_inverse=True)[1]
+        classes = np.where(clustered, int(PointClass.BORDER), int(PointClass.NOISE)).astype(np.int8)
+        classes[self.core_d2 <= eps * eps] = int(PointClass.CORE)
+        return Labeling(labels, classes)
+
+    def _roots(self, eps: float) -> np.ndarray:
+        """Each point's root at eps in [lo, hi]: n for noise, else the smallest index of the cluster it joins.
+
+        A core point's root is its component's: the base forest with the
+        kept core-core pairs within eps joined in. A border point's is the
+        smallest root among its core neighbours, which is the lowest
+        numbered cluster's, since cluster ids rise with the roots.
         """
         e2 = eps * eps
         core = self.core_d2 <= e2
@@ -215,18 +239,25 @@ class EpsBracket:
         both = ci & cj
         _union(parent, _find(parent, i[both]), _find(parent, j[both]))
         n = core.size
-        labels = np.full(n, NOISE, dtype=np.int64)
+        roots = np.full(n, n)
         core_idx = np.flatnonzero(core)
-        labels[core_idx] = np.unique(_find(parent, core_idx), return_inverse=True)[1]
+        roots[core_idx] = _find(parent, core_idx)
         one = ci != cj
-        border = np.full(n, n, dtype=np.int64)
-        np.minimum.at(border, np.where(ci, j, i)[one], labels[np.where(ci, i, j)[one]])
-        reached = border < n
-        labels[reached] = border[reached]
-        classes = np.full(n, int(PointClass.NOISE), dtype=np.int8)
-        classes[reached] = int(PointClass.BORDER)
-        classes[core] = int(PointClass.CORE)
-        return Labeling(labels, classes)
+        np.minimum.at(roots, np.where(ci, j, i)[one], roots[np.where(ci, i, j)[one]])
+        return roots
+
+    def _rank(self, eps: float) -> int:
+        """How many of the bracket's critical values are <= eps * eps.
+
+        They are the values _roots compares with eps * eps: the core
+        distances that are not NaN and the kept pairs' d2, sorted once per
+        bracket. Two eps of the same rank pass the same comparisons, so
+        they give the same roots and the same labeling.
+        """
+        if self._critical is None:
+            c = self.core_d2
+            self._critical = np.sort(np.concatenate((c[~np.isnan(c)], self._pairs[2])))
+        return int(np.searchsorted(self._critical, eps * eps, "right"))
 
 
 def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:

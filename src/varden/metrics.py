@@ -3,14 +3,15 @@
 The headline number is the adjusted Rand index. Noise is NOT discarded:
 the noise marker passes through as a label of its own on both sides, so a
 result that dumps real clusters into noise (or invents clusters out of
-noise) pays for it. The pair-counting arithmetic is exact (Python integers)
-up to the single final division.
+noise) pays for it. The pair-counting arithmetic is exact (integers) up to
+the single final division, which _ari states once: adjusted_rand_index
+counts any hashable labels, and evaluate takes its counts from the one sort
+that also gives the purities.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -39,15 +40,20 @@ def adjusted_rand_index(truth, predicted) -> float:
     p = list(predicted)
     if len(t) != len(p):
         raise LengthMismatch(f"label lists have lengths {len(t)} and {len(p)}")
-    n = len(t)
+    return _ari(len(t), *(np.array(list(Counter(x).values()), dtype=np.int64) for x in (zip(t, p), t, p)))
+
+
+def _ari(n: int, cells: np.ndarray, truth_sizes: np.ndarray, predicted_sizes: np.ndarray) -> float:
+    """The ARI of n points from the sizes of the contingency cells and of each side's groups.
+
+    Integers only up to the final division. A size's pairs, c * (c - 1) / 2,
+    are summed in int64, which holds them (their sum is at most n * (n - 1) / 2);
+    the products after that are Python integers.
+    """
     if n < 2:
         raise DegenerateInput(f"need at least 2 points, got {n}")
-
-    cells = Counter(zip(t, p))
-    sum_cells = sum(comb(c, 2) for c in cells.values())
-    sum_t = sum(comb(c, 2) for c in Counter(t).values())
-    sum_p = sum(comb(c, 2) for c in Counter(p).values())
-    total = comb(n, 2)
+    sum_cells, sum_t, sum_p = (int((c * (c - 1) // 2).sum()) for c in (cells, truth_sizes, predicted_sizes))
+    total = n * (n - 1) // 2
 
     # ARI scaled by 2*total so every term stays an integer.
     num = 2 * (total * sum_cells - sum_t * sum_p)
@@ -108,20 +114,24 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     n = truth.shape[0]
     k = result.n_clusters
     clustered = labels != NOISE
-    cid, member_truth = labels[clustered], truth[clustered]
     # ids 0..k-1 need k points, which bounds the count array
-    if k > cid.size or not (size := np.bincount(cid, minlength=k)).all():
+    if k > np.count_nonzero(clustered) or not (size := np.bincount(labels[clustered], minlength=k)).all():
         raise DataError("cluster ids are not contiguous from 0")
-    # sorted by (cluster, truth), a cluster's majority truth count is its longest run of one truth label
-    order = np.lexsort((member_truth, cid))
-    cid, member_truth = cid[order], member_truth[order]
-    new = np.diff(cid, prepend=NOISE) != 0
-    new[1:] |= np.diff(member_truth) != 0
+    # sorted by (cluster, truth), noise first, each run of one (cluster, truth)
+    # pair is a contingency cell, and a cluster's majority truth count is its
+    # longest run
+    order = np.lexsort((truth, labels))
+    cid, tid = labels[order], truth[order]
+    new = np.diff(cid, prepend=NOISE - 1) != 0
+    new[1:] |= np.diff(tid) != 0
     starts = np.flatnonzero(new)
-    top = np.maximum.reduceat(np.diff(starts, append=cid.size), np.searchsorted(cid[starts], np.arange(k)))
+    cells = np.diff(starts, append=n)
+    top = np.maximum.reduceat(cells, np.searchsorted(cid[starts], np.arange(k)))
+    tid = np.sort(truth)
+    truth_sizes = np.diff(np.flatnonzero(np.diff(tid, prepend=tid[:1] - 1)), append=n)
     return EvalReport(
         num_clusters_found=k,
-        ari=adjusted_rand_index(truth.tolist(), labels.tolist()),
-        noise_fraction=int(np.count_nonzero(labels == NOISE)) / n,
+        ari=_ari(n, cells, truth_sizes, np.append(size, n - size.sum())),
+        noise_fraction=int(np.count_nonzero(~clustered)) / n,
         per_cluster_purity=tuple((top / size).tolist()),
     )

@@ -109,8 +109,7 @@ class NeighborIndex:
             raise DataError("cannot index points with no coordinate axes")
         check_finite(dataset)
         self.dataset = dataset
-        spread = np.ptp(dataset.coords, axis=0) if len(dataset) else np.zeros(dataset.dim)
-        self._axis = int(np.argmax(spread))
+        self._axis = int(np.argmax(np.subtract(*dataset.bounds()[::-1]))) if len(dataset) else 0
         self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
         self._keys = dataset.coords[self._order, self._axis]
 
@@ -297,7 +296,10 @@ class _Grid:
                 t, size = 0, 1
                 while t < block.size:
                     cand = cand[roots(ids[cand]) != roots(ids[block[:1]])]
-                    pos = block[t : t + size] if cand.size else block[t:]
+                    if not cand.size:  # the rest of the block is one tile with no hits
+                        yield ids[block[t:]], ids[:0], ids[:0], np.empty(0)
+                        break
+                    pos = block[t : t + size]
                     t, size = t + pos.size, min(2 * size, _TILE)
                     yield self._shared(pos, cand)
 

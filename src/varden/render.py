@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import _write_blocks
+from .dataio import _coordinate_text, _write_blocks
 from .model import DataError, Dataset, Labeling, NOISE, PointClass
 
 PALETTE = (
@@ -86,20 +86,20 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
     legend.append("</svg>")
 
     # The point circles sit between the two, formatted a block of points at
-    # a time from tolist() columns; flip - y is the same IEEE subtraction in
-    # numpy as in Python.
+    # a time from tolist() columns.
     flip = ymin + ymax  # mirror y so larger values draw higher
     fills = PALETTE + (NOISE_COLOR,)
     fill_of = np.where(labels == NOISE, len(PALETTE), labels % len(PALETTE))
     radius = (_fmt(r_small), _fmt(r_full))
     is_core = labeling.classes == int(PointClass.CORE)
-    coords = dataset.coords
 
     def circles(b: slice) -> str:
-        xs, ys = coords[b, 0].tolist(), (flip - coords[b, 1]).tolist()
-        return "".join(
-            f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{radius[c]}" fill="{fills[f]}"/>\n'
-            for x, y, c, f in zip(xs, ys, is_core[b].tolist(), fill_of[b].tolist())
-        )
+        cells = zip(_coordinate_text(dataset, _position_text, b, flip), is_core[b].tolist(), fill_of[b].tolist())
+        return "".join(f'<circle {xy} r="{radius[c]}" fill="{fills[f]}"/>\n' for xy, c, f in cells)
 
     _write_blocks(path, len(dataset), "\n".join(head) + "\n", circles, "\n".join(legend) + "\n")
+
+
+def _position_text(coords: np.ndarray, flip: float) -> list[str]:
+    """Each 2-D row's circle position, `cx="x" cy="flip - y"`; flip - y is the same IEEE subtraction in numpy as in Python."""
+    return [f'cx="{x:.6g}" cy="{y:.6g}"' for x, y in zip(coords[:, 0].tolist(), (flip - coords[:, 1]).tolist())]

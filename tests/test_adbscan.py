@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varden import adbscan
 from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_params, tune_eps_densest
@@ -262,6 +264,60 @@ _PINNED = {
 }
 _PINNED_CASES = [(name, seed, eps) for name, floats in _PINNED.items() for seed, eps in enumerate(floats)]
 
+# float.hex of tune_eps_densest(scenario at seeds 0-39, min_pts=10), recorded
+# before the tuner stopped its kth_d2 sweeps at the densest blob, widened its
+# first bracket and answered its probes from the forest
+_PINNED_HEX = {
+    "four_varying": (
+        "0x1.97c8ae4f11c22p-4", "0x1.a5c44ed798584p-4", "0x1.c6b64d0db1600p-4",
+        "0x1.8816a75e2a946p-4", "0x1.c43749cf7d7e6p-4", "0x1.95d3687f1f28ap-4",
+        "0x1.ae79747ea5365p-4", "0x1.a95ee9f04816ep-4", "0x1.c4ae940d7bdb2p-4",
+        "0x1.ba58b4cd275fcp-4", "0x1.fb72ba7a45288p-4", "0x1.939468ec4ded0p-4",
+        "0x1.7df8a05128b26p-4", "0x1.bf1a3785ee17cp-4", "0x1.e60c60483a922p-4",
+        "0x1.a22be3b64a36ap-4", "0x1.c0d4302a766f0p-4", "0x1.aebf0055917d8p-4",
+        "0x1.c608eec10f918p-4", "0x1.b86a4411667cap-4", "0x1.c622d79b9beefp-4",
+        "0x1.c2437193b69b5p-4", "0x1.bbf2e9ad8d0cep-4", "0x1.bb9f2597b6f7cp-4",
+        "0x1.a43c3035ef2dap-4", "0x1.ab0e16e4fb39ep-4", "0x1.ad753d59a3642p-4",
+        "0x1.a1aa384a35bd4p-4", "0x1.b98775eb039d0p-4", "0x1.952492b3dd41ap-4",
+        "0x1.b4b24efb08b62p-4", "0x1.83f5f987f43cfp-4", "0x1.91fbfcf03dec6p-4",
+        "0x1.835cf11a356c1p-4", "0x1.92d4eaf7c890ep-4", "0x1.b8f6a90ecd8cfp-4",
+        "0x1.bdf26193671e2p-4", "0x1.8afc720707fdap-4", "0x1.e160edd55ad17p-4",
+        "0x1.989fa9ebf113bp-4",
+    ),
+    "three_varying": (
+        "0x1.97c8ae4f11c22p-4", "0x1.a5c44ed798584p-4", "0x1.c6b64d0db1600p-4",
+        "0x1.8816a75e2a946p-4", "0x1.c43749cf7d7e6p-4", "0x1.95d3687f1f28ap-4",
+        "0x1.ae79747ea5365p-4", "0x1.a95ee9f04816ep-4", "0x1.c4ae940d7bdb2p-4",
+        "0x1.ba58b4cd275fcp-4", "0x1.fb72ba7a45288p-4", "0x1.939468ec4ded0p-4",
+        "0x1.7df8a05128b26p-4", "0x1.bf1a3785ee17cp-4", "0x1.e60c60483a922p-4",
+        "0x1.a22be3b64a36ap-4", "0x1.c0d4302a766f0p-4", "0x1.aebf0055917d8p-4",
+        "0x1.c608eec10f918p-4", "0x1.b86a4411667cap-4", "0x1.c622d79b9beefp-4",
+        "0x1.c2437193b69b5p-4", "0x1.bbf2e9ad8d0cep-4", "0x1.bb9f2597b6f7cp-4",
+        "0x1.a43c3035ef2dap-4", "0x1.ab0e16e4fb39ep-4", "0x1.ad753d59a3642p-4",
+        "0x1.a1aa384a35bd4p-4", "0x1.c49ca037e9b48p-4", "0x1.952492b3dd41ap-4",
+        "0x1.b4b24e4c2adecp-4", "0x1.83f5f987f43cfp-4", "0x1.91fbfcf03dec6p-4",
+        "0x1.835cf11a356c1p-4", "0x1.92d4eaf7c890ep-4", "0x1.b8f6a90ecd8cfp-4",
+        "0x1.bdf26193671e2p-4", "0x1.8afc720707fdap-4", "0x1.e160edd55ad17p-4",
+        "0x1.989fa9ebf113bp-4",
+    ),
+    "two_equal": (
+        "0x1.44230b72c3720p-4", "0x1.3c533b21b2422p-4", "0x1.58128b421c621p-4",
+        "0x1.69bd61e850644p-4", "0x1.1f2f0972555b8p-4", "0x1.305e8e5f575e8p-4",
+        "0x1.42db175efbe8cp-4", "0x1.3f072f7436114p-4", "0x1.5382ef0a1ce46p-4",
+        "0x1.4bc28799dd87cp-4", "0x1.3a0d7d6e24b89p-4", "0x1.4af02b40bf31dp-4",
+        "0x1.2c6d61eca893ap-4", "0x1.515cb0e49db0ep-4", "0x1.48bd8e9bbfc66p-4",
+        "0x1.2b9f08582b706p-4", "0x1.40e7821677d40p-4", "0x1.1da3921e6a90ap-4",
+        "0x1.5486aa7065738p-4", "0x1.3411cd1046da5p-4", "0x1.1fb8e9e9dff64p-4",
+        "0x1.51b2952ec8f47p-4", "0x1.43f6aaf178f6ap-4", "0x1.3328945d2d6edp-4",
+        "0x1.3b2d1807e10c1p-4", "0x1.3ffe7e8345799p-4", "0x1.4217ee033a8b3p-4",
+        "0x1.393fb2035d80cp-4", "0x1.5375839617136p-4", "0x1.2fdb6e06e5f16p-4",
+        "0x1.4785bb3c4688ap-4", "0x1.22f87b25f72d9p-4", "0x1.3134cbf24c747p-4",
+        "0x1.2285b4d3a810fp-4", "0x1.65686b7616464p-4", "0x1.4ab8fecb1a29ap-4",
+        "0x1.31f34db419f60p-4", "0x1.283d558545fe4p-4", "0x1.6908b260041d0p-4",
+        "0x1.3277bf70f4ceep-4",
+    ),
+}
+
 
 class TestTuneEpsDensest:
     @pytest.mark.parametrize(
@@ -280,6 +336,45 @@ class TestTuneEpsDensest:
         assert eps == tune_eps_densest(labeled, min_pts=10)
         lab = run_dbscan(labeled.dataset, DbscanParams(eps, 10))
         assert np.array_equal(scan.labels, lab.labels) and np.array_equal(scan.classes, lab.classes)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_bits_on_forty_seeds(self, name):
+        got = [tune_eps_densest(gen_scenario(replace(paper_scenario(name), seed=seed)), 10) for seed in range(40)]
+        assert tuple(eps.hex() for eps in got) == _PINNED_HEX[name]
+
+    def test_predicate_is_not_monotone(self):
+        # at min_pts 3, 20 blob points 0.01 apart on a line, one more blob
+        # point at 5.0 and two noise points at 5.5 and 6.0: the blob coheres
+        # at 0.02 (the far point is noise), not at 1.0 (it is core in a
+        # cluster of its own with the other two) and again at 5.0 (one
+        # cluster). The tuner returns the passing end of its last bisection
+        # bracket, by the line's own spacing
+        coords = np.array([(0.01 * i, 0.0) for i in range(20)] + [(5.0, 0.0), (5.5, 0.0), (6.0, 0.0)])
+        labeled = LabeledDataset(Dataset(coords), np.r_[np.zeros(21), [NOISE, NOISE]])
+        assert [_coheres(labeled, eps, 3) for eps in (0.02, 1.0, 5.0)] == [True, False, True]
+        assert tune_eps_densest(labeled, min_pts=3) == 0.010000000000000009
+
+    @pytest.mark.parametrize("small", [[(4.0, 0.0)] * 5, [(4.0, 0.0), (4.0, 1e-12)]], ids=["coincident", "close"])
+    def test_blob_below_min_pts_takes_few_sweeps(self, work, small):
+        # a 60-point ring and, 3 beyond it, a blob of fewer than min_pts
+        # points, whose 10th neighbours lie in the ring: the kth_d2 sweeps
+        # start from the ring's scale, not from that blob's spread (0, or
+        # 1e-12 and about 40 sweeps)
+        coords = np.array(_ring(0, 0, 1.0, 60) + small)
+        labeled = LabeledDataset(Dataset(coords), np.r_[np.zeros(60), np.ones(len(small))])
+        assert _coheres(labeled, tune_eps_densest(labeled, min_pts=10))
+        assert work["grids"] - work["brackets"] <= 8  # each kth_d2 sweep builds one grid, as each bracket does
+
+    def test_work_on_the_compare_benchmark_scenario(self, work):
+        # four_varying at the seed that perfbench's compare workload draws for
+        # its seed 0: one kth_d2 sweep, one bracket, one Labeling (the fixed
+        # scan) and 34,708 d2 entries, where sweeping until every blob row
+        # was defined, one bracket per factor of two and one Labeling per
+        # probe took 7 grids, 2 brackets, 22 Labelings and 189,968 d2 entries
+        labeled = gen_scenario(replace(paper_scenario("four_varying"), seed=5874934615388537135))
+        adbscan._tuned_scan(labeled, 10)
+        assert work["grids"] <= 2 and work["brackets"] <= 1 and work["labelings"] == 1
+        assert work["entries"] <= 40_000
 
     def test_returns_a_python_float(self):
         # an np.float64 would print as np.float64(...) in a manifest's params.eps
@@ -405,6 +500,36 @@ class TestDoubledKthD2:
         eps = tune_eps_densest(LabeledDataset(Dataset(coords), np.zeros(3000)), min_pts=10)
         assert eps * eps >= 50.0 and eps <= math.sqrt(50.0) * (1 + 1e-6)
         assert len(built) <= 8
+
+
+@st.composite
+def _cohesion_inputs(draw):
+    """Lattice points in 1-3 D (d2 ties at many radii), a nonempty target,
+    a bracket [lo, hi], and probes in it: random radii, then each radius
+    of the lattice's distances in the bracket, just below it, at it and
+    just above it, so that probes of one rank come in both orders."""
+    dim = draw(st.integers(1, 3))
+    coords = np.array(draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=2, max_size=40)), dtype=float) * 0.25
+    target = np.flatnonzero(draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords))))
+    assume(target.size)
+    hi = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]))
+    lo = draw(st.sampled_from([0.0, 0.5 * hi, hi]))
+    probes = draw(st.lists(st.floats(lo, hi, exclude_min=lo == 0.0), max_size=6))
+    for r in 0.25 * np.sqrt(np.arange(1, 109)):  # the lattice's d2 are 0.0625 * m, m <= 108
+        probes += [x for x in (np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)) if lo <= x <= hi]
+    return Dataset(coords), target, draw(st.integers(1, 6)), lo, hi, [float(x) for x in probes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cohesion_inputs())
+def test_cached_forest_probe_is_the_labeling_predicate(case):
+    ds, target, min_pts, lo, hi, probes = case
+    bracket = EpsBracket(build_index(ds), min_pts, lo, hi)
+    coheres = adbscan._Cohesion(bracket, target)
+    for eps in probes + probes[::-1]:  # each eps twice, once after the eps above it and once after those below
+        labels = bracket.labeling(eps).labels[target]
+        clustered = labels[labels != NOISE]
+        assert coheres(eps) == (clustered.size >= 0.9 * target.size and len(set(clustered.tolist())) == 1)
 
 
 def _tune_traced(labeled):

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 import varden
+from varden import dataio
 from varden.cli import cli_main, tune_eps_densest
-from varden.dataio import parse_manifest, read_csv
-from varden.model import AdbscanParams, DataError, Dataset, LabeledDataset, NOISE
+from varden.dataio import parse_manifest, read_csv, write_csv, write_dataset_csv
+from varden.model import AdbscanParams, DataError, Dataset, LabeledDataset, Labeling, NOISE
+from varden.render import render_svg
+
+from adversarial import adversarial_scene
 
 
 @pytest.fixture(autouse=True)
@@ -273,6 +277,29 @@ class TestCompare:
         assert dm.report is not None and am.report is not None
         assert am.trace is not None and am.stop_reason is not None
         assert dm.dataset_hash == am.dataset_hash
+
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096)])
+    def test_shared_coordinate_text_writes_the_public_writers_bytes(self, tmp_path, monkeypatch, seed, block):
+        # compare writes through a _FormattedDataset, which formats its
+        # coordinates once and slices that text per block: two labelings of
+        # one dataset, each to a CSV and an SVG, give the plain writers' bytes
+        monkeypatch.setattr(dataio, "_BLOCK", block)
+        ds, lab = adversarial_scene(seed)
+        relabeled = Labeling(np.roll(lab.labels, 1), np.roll(lab.classes, 1))
+        for name, d in (("plain", ds), ("shared", dataio._FormattedDataset(ds.coords))):
+            write_dataset_csv(LabeledDataset(d, lab.labels), tmp_path / f"{name}_dataset.csv")
+            for i, labeling in enumerate((lab, relabeled)):
+                write_csv(d, labeling, tmp_path / f"{name}_{i}.csv")
+                render_svg(d, labeling, tmp_path / f"{name}_{i}.svg")
+        for f in ("dataset.csv", "0.csv", "0.svg", "1.csv", "1.svg"):
+            assert (tmp_path / f"shared_{f}").read_bytes() == (tmp_path / f"plain_{f}").read_bytes()
+
+    def test_runs_in_one_process_keep_no_text_from_each_other(self, tmp_path):
+        for out, seed in (("a", 3), ("b", 4), ("c", 3)):
+            assert cli_main(["compare", "--scenario", "two_equal", "--seed", str(seed), "--out-dir", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert all((tmp_path / "a" / f).read_bytes() == (tmp_path / "c" / f).read_bytes() for f in names)
+        assert all((tmp_path / "a" / f).read_bytes() != (tmp_path / "b" / f).read_bytes() for f in names if f.endswith((".csv", ".svg")))
 
 
 @pytest.mark.parametrize(

@@ -627,14 +627,6 @@ def test_coincident_points_stay_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
-def _counted_entries(monkeypatch):
-    """A list that gets the size of every d2 array neighborhood._axis_d2 returns, through which every d2 entry passes."""
-    entries = []
-    axis_d2 = neighborhood._axis_d2
-    monkeypatch.setattr(neighborhood, "_axis_d2", lambda c, q: entries.append(np.size(d2 := axis_d2(c, q))) or d2)
-    return entries
-
-
 _GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) * 0.25 + 0.125
 
 
@@ -654,23 +646,21 @@ _GRID = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2) *
         ([[0.0, 0.0], [1e16, 1e16]], [3000, 10], 2, 1),
     ],
 )
-def test_certified_cells_measure_almost_no_distances(monkeypatch, sites, stack, clusters, per_point):
-    entries = _counted_entries(monkeypatch)
+def test_certified_cells_measure_almost_no_distances(work, sites, stack, clusters, per_point):
     coords = np.repeat(sites, stack, axis=0)
     coords = coords[np.random.default_rng(5).permutation(len(coords))]
     lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
     assert lab.n_clusters == clusters and (lab.classes == C).all()
-    assert sum(entries) < per_point * len(coords)
+    assert work["entries"] < per_point * len(coords)
 
 
 @pytest.mark.parametrize("shape, per_point", [("gaussian", 600), ("uniform", 350)])
-def test_grid_tiles_measure_few_distances_in_3d(monkeypatch, shape, per_point):
+def test_grid_tiles_measure_few_distances_in_3d(work, shape, per_point):
     # 2e4 3-D points: a Gaussian of std 1 at eps 0.3, and uniform points with
     # about 10 per ball. The grid's columns cut every axis but the sweep
     # axis, so a tile's candidates lie near it on all three: about 465 and
     # 300 d2 entries per point, where cutting one other axis only gave 970
     # and 445
-    entries = _counted_entries(monkeypatch)
     rng, n = np.random.default_rng(0), 20_000
     if shape == "gaussian":
         coords, eps = rng.normal(0.0, 1.0, size=(n, 3)), 0.3
@@ -678,31 +668,29 @@ def test_grid_tiles_measure_few_distances_in_3d(monkeypatch, shape, per_point):
         coords, eps = rng.uniform(0.0, 1.0, size=(n, 3)), (10 * 3 / (4 * math.pi * n)) ** (1 / 3)
     lab = run_dbscan(Dataset(coords), DbscanParams(eps, 10))
     assert lab.n_clusters >= 1
-    assert sum(entries) < per_point * n
+    assert work["entries"] < per_point * n
 
 
-def test_grid_tiles_measure_each_row_against_its_own_box_in_2d(monkeypatch):
+def test_grid_tiles_measure_each_row_against_its_own_box_in_2d(work):
     # 2e4 uniform 2-D points, about 10 per ball: a row's own padded box holds
     # about 19 candidates, padded to the widest row of its tile; a 32-row
     # tile's shared candidates came to about 112 d2 entries per point
-    entries = _counted_entries(monkeypatch)
     n = 20_000
     coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
     lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
     assert lab.n_clusters >= 1
-    assert sum(entries) < 50 * n
+    assert work["entries"] < 50 * n
 
 
-def test_grid_tiles_measure_no_padding_in_2d(monkeypatch):
+def test_grid_tiles_measure_no_padding_in_2d(work):
     # the input above: each row is measured once against each candidate of
     # its own box, about 19.9 per point, not padded to the widest row of its
     # tile (31.8 per point)
-    entries = _counted_entries(monkeypatch)
     n = 20_000
     coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
     lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
     assert lab.n_clusters >= 1
-    assert sum(entries) <= 21 * n
+    assert work["entries"] <= 21 * n
 
 
 def test_eps_beyond_the_diameter_is_one_certified_cell():

@@ -3,6 +3,7 @@ builder. The oracle walks all C(n,2) pairs and uses the 2x2 contingency
 form, sharing no code with the library's contingency-table version."""
 import time
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -196,6 +197,25 @@ class TestEvaluate:
             want.append(Counter(member_truth).most_common(1)[0][1] / len(member_truth))
         assert rep.per_cluster_purity == tuple(want)
         assert all(type(p) is float for p in rep.per_cluster_purity)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ari_matches_the_counter_path(self, seed):
+        # evaluate counts its contingency cells off its (cluster, truth) sort;
+        # the ARI's bits must equal those of counting every (truth, label)
+        # pair in a Counter, noise a label of its own on both sides
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5000))
+        truth = rng.integers(NOISE, rng.integers(1, 9), n)
+        ids = rng.integers(NOISE, rng.integers(1, 40), n)
+        labels = np.where(ids >= 0, np.searchsorted(np.unique(ids[ids >= 0]), ids), NOISE)
+        rep = evaluate(_labeled(np.zeros((n, 2)), truth), Labeling(labels, np.where(labels >= 0, 2, 0)))
+        t, p = truth.tolist(), labels.tolist()
+        pairs = [sum(comb(c, 2) for c in Counter(x).values()) for x in (zip(t, p), t, p)]
+        total = comb(n, 2)
+        num = 2 * (total * pairs[0] - pairs[1] * pairs[2])
+        den = total * (pairs[1] + pairs[2]) - 2 * pairs[1] * pairs[2]
+        want = 1.0 if den == 0 else num / den
+        assert rep.ari.hex() == want.hex() == adjusted_rand_index(t, p).hex()
 
     def test_many_clusters_are_scored_in_one_sort(self):
         # 1e5 singleton clusters took about 4 s with one mask per cluster
