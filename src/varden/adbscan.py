@@ -36,6 +36,7 @@ from .model import (
     STOP_K_REACHED,
     STOP_MAX_ITERS,
     STOP_RESIDUAL,
+    _cluster_sizes,
     check_int,
     validate_dataset,
 )
@@ -68,13 +69,12 @@ def accept_cluster(labeling: Labeling, n_original: int, accept_fraction: float) 
 
     The bar is strict: size > accept_fraction * n_original, with n_original
     the size of the dataset the whole adaptive run started from. Ties go to
-    the lowest cluster id. DataError for cluster ids below -1.
+    the lowest cluster id. DataError for cluster ids below -1 or not
+    contiguous from 0.
     """
-    if (labeling.labels < NOISE).any():
-        raise DataError("cluster ids below -1")
-    if labeling.n_clusters == 0:
+    sizes = _cluster_sizes(labeling.labels)
+    if sizes.size == 0:
         return None
-    sizes = np.bincount(labeling.labels[labeling.labels != NOISE], minlength=labeling.n_clusters)
     cid = int(np.argmax(sizes))  # argmax takes the first maximum: lowest id
     if sizes[cid] > accept_fraction * n_original:
         return cid

@@ -3,9 +3,11 @@
 All output is byte-deterministic for fixed inputs: floats are serialized
 with repr() (shortest decimal that round-trips exactly), rows follow
 dataset order, and manifests hold no timestamps. Both CSV writers, and
-render_svg for its point circles, go through ``_write_blocks``, which
-writes a file's rows ``_BLOCK`` at a time, each block formatted from its
-tolist() columns.
+render_svg for its point circles, go through ``_write_rows``, which writes
+a file's rows ``_BLOCK`` at a time: each block is one % of a row template,
+repeated once per row, over the block's values. A row whose coordinate bits
+and codes equal the previous row's in its block is not formatted again, but
+written as that row's text once more.
 
 read_csv parses a file of two-column rows with one np.loadtxt call where
 that must give what its line loop gives: lines end in LF or CR LF, rows
@@ -143,33 +145,17 @@ def write_csv(dataset: Dataset, labeling: Labeling, path) -> None:
     bad = classes[(classes < 0) | (classes >= len(PointClass))]
     if bad.size:
         raise DataError(f"{int(bad[0])} is not a valid PointClass")
-    tokens = tuple(c.token for c in PointClass)
-    labels = labeling.labels
-
-    def rows(b: slice) -> str:
-        cells = zip(_coordinate_text(dataset, _xy_text, b), labels[b].tolist(), classes[b].tolist())
-        return "".join(f"{xy},{lab},{tokens[c]}\n" for xy, lab, c in cells)
-
-    _write_blocks(path, len(dataset), "x,y,cluster,class\n", rows)
+    tokens = np.array([c.token for c in PointClass], dtype=object)
+    cells = ((labeling.labels, np.asarray), (classes, tokens.take))
+    _write_rows(path, dataset, "x,y,cluster,class\n", "{0},%s,%s\n", "%s,%s", cells)
 
 
 def write_dataset_csv(d: LabeledDataset, path) -> None:
     """Write a generated dataset with truth: `x,y,label`, noise as a token."""
     if d.dataset.dim != 2:
         raise DataError(f"CSV schema is 2-d, dataset is {d.dataset.dim}-d")
-    truth = d.truth
-
-    def rows(b: slice) -> str:
-        cells = zip(_coordinate_text(d.dataset, _xy_text, b), truth[b].tolist())
-        return "".join(f"{xy},{NOISE_TOKEN if t == NOISE else t}\n" for xy, t in cells)
-
-    _write_blocks(path, len(d), "x,y,label\n", rows)
-
-
-def _xy_text(coords: np.ndarray) -> list[str]:
-    """Each 2-D row's `x,y` CSV text, each coordinate as its repr."""
-    xs, ys = coords.T.tolist()
-    return [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+    truth = (d.truth, lambda t: np.where(t == NOISE, NOISE_TOKEN, t.astype(object)))
+    _write_rows(path, d.dataset, "x,y,label\n", "{0},%s\n", "%s,%s", (truth,))
 
 
 class _FormattedDataset(Dataset):
@@ -183,34 +169,74 @@ class _FormattedDataset(Dataset):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "texts", {})  # (format, its arguments) -> every row's text
+        object.__setattr__(self, "texts", {})  # (xy format, flip) -> every point's xy text
 
 
-def _coordinate_text(dataset: Dataset, fmt, b: slice, *args) -> list[str]:
-    """fmt(dataset.coords[b], *args): one string per row of the block b.
-
-    A _FormattedDataset formats all its rows once per (fmt, args) and
-    slices that; any other dataset formats the block alone, so a writer's
-    memory stays one block's text.
+def _coordinate_text(dataset: Dataset, xy: str, flip: float | None) -> np.ndarray | None:
+    """Each point's xy % (x, y) (flip - y when flip is given), as an object
+    array, for a _FormattedDataset; None for any other dataset, whose writer
+    formats the floats a block at a time.
     """
     if not isinstance(dataset, _FormattedDataset):
-        return fmt(dataset.coords[b], *args)
-    key = (fmt, *args)
-    if key not in dataset.texts:
-        dataset.texts[key] = fmt(dataset.coords, *args)
-    return dataset.texts[key][b]
+        return None
+    if (xy, flip) not in dataset.texts:
+        x, y = dataset.coords.T
+        pairs = zip(x.tolist(), (y if flip is None else flip - y).tolist())
+        dataset.texts[xy, flip] = np.array(list(map(xy.__mod__, pairs)), dtype=object)
+    return dataset.texts[xy, flip]
 
 
-def _write_blocks(path, n: int, head: str, rows, tail: str = "") -> None:
-    """Write head, then rows(b) for each slice b of up to _BLOCK of the n rows, in order, then tail.
+def _write_rows(path, dataset: Dataset, head: str, row: str, xy: str, cells, tail: str = "", flip=None) -> None:
+    """Write head, one row of text per point in dataset order, then tail.
 
-    Formatting a block at a time from its tolist() columns keeps the memory
-    one block's text and the work off per-row numpy scalars.
+    row is one point's template: its "{0}" becomes xy, the format of the
+    point's x and y (flip - y when flip is given, the same IEEE subtraction
+    in numpy as in Python), or "%s" for a _FormattedDataset's kept xy text.
+    Each % field after it takes the point's value of one cell, a (codes,
+    values) pair where values maps a block of the n codes to an array of the
+    block's values. A row's text ends in its only line break.
+
+    Each block of _BLOCK points is one % of the template, repeated once per
+    point, over the block's values laid out row by row in an object array
+    (numpy floats and ints become Python numbers there, so "%s" of a float
+    is its repr). A point whose coordinate bits and codes equal the previous
+    point's in its block has the same text, so only the first point of each
+    such run is formatted, and its text is repeated; a few vector compares
+    per block find the runs, with no sort. Bits, not values: -0.0 == 0.0,
+    but the two are written differently. The bits of a column are a view of
+    the coordinates, not a copy.
     """
+    coords = dataset.coords
+    text = _coordinate_text(dataset, xy, flip)
+    template = row.format("%s" if text is not None else xy)
+    keys = (coords[:, 0].view(np.int64), coords[:, 1].view(np.int64), *(codes for codes, _ in cells))
+    n, width = len(coords), (1 if text is not None else 2) + len(cells)  # % fields per row
     with Path(path).open("w", encoding="utf-8") as out:
         out.write(head)
         for s in range(0, n, _BLOCK):
-            out.write(rows(slice(s, s + _BLOCK)))
+            e = min(s + _BLOCK, n)
+            new = np.ones(e - s, dtype=bool)
+            np.not_equal(keys[0][s + 1 : e], keys[0][s : e - 1], out=new[1:])
+            if not new.all():  # the x bits alone often show that no point repeats
+                for key in keys[1:]:
+                    new[1:] |= key[s + 1 : e] != key[s : e - 1]
+            heads = new.nonzero()[0]
+            rows = slice(s, e) if heads.size == e - s else heads + s
+            args = np.empty((heads.size, width), dtype=object)
+            if text is not None:
+                args[:, 0] = text[rows]
+            else:
+                points = coords[rows]
+                args[:, 0] = points[:, 0]
+                args[:, 1] = points[:, 1] if flip is None else flip - points[:, 1]
+            for j, (codes, values) in enumerate(cells, start=width - len(cells)):
+                args[:, j] = values(codes[rows])
+            block = (template * heads.size) % tuple(args.ravel().tolist())
+            if heads.size < e - s:
+                h = heads.tolist()
+                runs = map(int.__sub__, h[1:] + [e - s], h)  # each head's run length
+                block = "".join(map(str.__mul__, block.splitlines(True), runs))
+            out.write(block)
         out.write(tail)
 
 

@@ -214,12 +214,16 @@ class EpsBracket:
         """
         roots = self._roots(eps)
         n = roots.size
-        clustered = roots < n
-        labels = np.full(n, NOISE, dtype=np.int64)
-        labels[clustered] = np.unique(roots[clustered], return_inverse=True)[1]
-        classes = np.where(clustered, int(PointClass.BORDER), int(PointClass.NOISE)).astype(np.int8)
+        ids = np.zeros(n + 1, dtype=np.int64)
+        ids[roots] = 1  # marks each root, and n, the root of noise
+        ids[n] = 0
+        np.cumsum(ids, out=ids)
+        ids -= 1  # a root's cluster id is the number of roots below it
+        ids[n] = NOISE
+        classes = np.full(n, int(PointClass.NOISE), dtype=np.int8)
+        classes[roots < n] = int(PointClass.BORDER)
         classes[self.core_d2 <= eps * eps] = int(PointClass.CORE)
-        return Labeling(labels, classes)
+        return Labeling(ids[roots], classes)
 
     def _roots(self, eps: float) -> np.ndarray:
         """Each point's root at eps in [lo, hi]: n for noise, else the smallest index of the cluster it joins.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, Labeling, LabeledDataset, NOISE
+from .model import DataError, Labeling, LabeledDataset, NOISE, _cluster_sizes
 
 
 class LengthMismatch(DataError):
@@ -108,15 +108,8 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     labels = result.labels
     if labels.shape != truth.shape:
         raise LengthMismatch(f"result covers {labels.shape[0]} points, truth {truth.shape[0]}")
-    if labels.size and labels.min() < NOISE:
-        raise DataError("cluster ids below -1")
-
-    n = truth.shape[0]
-    k = result.n_clusters
-    clustered = labels != NOISE
-    # ids 0..k-1 need k points, which bounds the count array
-    if k > np.count_nonzero(clustered) or not (size := np.bincount(labels[clustered], minlength=k)).all():
-        raise DataError("cluster ids are not contiguous from 0")
+    size = _cluster_sizes(labels)
+    n, k = truth.shape[0], size.size
     # sorted by (cluster, truth), noise first, each run of one (cluster, truth)
     # pair is a contingency cell, and a cluster's majority truth count is its
     # longest run
@@ -132,6 +125,6 @@ def evaluate(d: LabeledDataset, result: Labeling) -> EvalReport:
     return EvalReport(
         num_clusters_found=k,
         ari=_ari(n, cells, truth_sizes, np.append(size, n - size.sum())),
-        noise_fraction=int(np.count_nonzero(~clustered)) / n,
+        noise_fraction=int(n - size.sum()) / n,
         per_cluster_purity=tuple((top / size).tolist()),
     )

@@ -274,6 +274,20 @@ class Labeling:
         return PointClass(int(self.classes[check_int(i, "point index", 0, len(self), DataError)]))
 
 
+def _cluster_sizes(labels: np.ndarray) -> np.ndarray:
+    """Each cluster's point count, by id; DataError unless every id is at
+    least -1 (NOISE) and the cluster ids are contiguous from 0.
+    """
+    if labels.size and labels.min() < NOISE:
+        raise DataError("cluster ids below -1")
+    ids = labels[labels != NOISE]
+    k = int(ids.max()) + 1 if ids.size else 0
+    # ids 0..k-1 need k points, which bounds the count array
+    if k > ids.size or not (sizes := np.bincount(ids, minlength=k)).all():
+        raise DataError("cluster ids are not contiguous from 0")
+    return sizes
+
+
 def validate_labeling(lab: Labeling, n: int | None = None) -> None:
     """Raise DataError unless lab is internally consistent.
 
@@ -284,15 +298,7 @@ def validate_labeling(lab: Labeling, n: int | None = None) -> None:
     """
     if n is not None and len(lab) != n:
         raise DataError(f"labeling covers {len(lab)} points, expected {n}")
-    if lab.labels.size == 0:
-        return
-    if lab.labels.min() < NOISE:
-        raise DataError("cluster ids below -1")
-    top = int(lab.labels.max())
-    if top >= 0:
-        # ids 0..top need top + 1 points, which bounds the count array
-        if top >= len(lab) or not np.bincount(lab.labels[lab.labels >= 0]).all():
-            raise DataError("cluster ids are not contiguous from 0")
+    _cluster_sizes(lab.labels)
     noise_by_label = lab.labels == NOISE
     noise_by_class = lab.classes == int(PointClass.NOISE)
     if not np.array_equal(noise_by_label, noise_by_class):

@@ -1,9 +1,9 @@
 """Deterministic SVG scatter plots of 2-D clusterings.
 
 No plotting library: the file is the header, one circle per point in
-dataset order, then the legend, with the circles formatted a block of
-points at a time through dataio's chunked writer, so identical inputs
-always give identical bytes. Clusters cycle through a fixed 12-color
+dataset order, then the legend, with the circles written a block of points
+at a time from one row template by dataio's block writer, so identical
+inputs always give identical bytes. Clusters cycle through a fixed 12-color
 palette, noise is gray, core points draw at full radius and border/noise
 points at 70%, and a legend lists cluster sizes.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import _coordinate_text, _write_blocks
+from .dataio import _write_rows
 from .model import DataError, Dataset, Labeling, NOISE, PointClass
 
 PALETTE = (
@@ -85,21 +85,14 @@ def render_svg(dataset: Dataset, labeling: Labeling, path) -> None:
         )
     legend.append("</svg>")
 
-    # The point circles sit between the two, formatted a block of points at
-    # a time from tolist() columns.
+    # The point circles sit between the two: core points draw at full
+    # radius, and each cluster's color is its id's place in the palette.
     flip = ymin + ymax  # mirror y so larger values draw higher
-    fills = PALETTE + (NOISE_COLOR,)
-    fill_of = np.where(labels == NOISE, len(PALETTE), labels % len(PALETTE))
-    radius = (_fmt(r_small), _fmt(r_full))
-    is_core = labeling.classes == int(PointClass.CORE)
-
-    def circles(b: slice) -> str:
-        cells = zip(_coordinate_text(dataset, _position_text, b, flip), is_core[b].tolist(), fill_of[b].tolist())
-        return "".join(f'<circle {xy} r="{radius[c]}" fill="{fills[f]}"/>\n' for xy, c, f in cells)
-
-    _write_blocks(path, len(dataset), "\n".join(head) + "\n", circles, "\n".join(legend) + "\n")
-
-
-def _position_text(coords: np.ndarray, flip: float) -> list[str]:
-    """Each 2-D row's circle position, `cx="x" cy="flip - y"`; flip - y is the same IEEE subtraction in numpy as in Python."""
-    return [f'cx="{x:.6g}" cy="{y:.6g}"' for x, y in zip(coords[:, 0].tolist(), (flip - coords[:, 1]).tolist())]
+    fills = np.array(PALETTE + (NOISE_COLOR,), dtype=object)
+    radius = np.array([_fmt(r_small), _fmt(r_full)], dtype=object)
+    cells = (
+        (labeling.classes, lambda c: radius.take(c == int(PointClass.CORE))),
+        (labels, lambda lab: fills.take(np.where(lab == NOISE, len(PALETTE), lab % len(PALETTE)))),
+    )
+    circle, position = '<circle {0} r="%s" fill="%s"/>\n', 'cx="%.6g" cy="%.6g"'
+    _write_rows(path, dataset, "\n".join(head) + "\n", circle, position, cells, "\n".join(legend) + "\n", flip)

@@ -105,6 +105,13 @@ class TestAcceptCluster:
         with pytest.raises(DataError, match="^cluster ids below -1$"):
             accept_cluster(Labeling(labels, [0, 2, 2]), 3, 0.10)
 
+    @pytest.mark.parametrize("cid", [1, 2**40])
+    def test_cluster_ids_with_a_gap_rejected(self, cid):
+        # cluster 0 is empty: validate_labeling and evaluate reject these ids
+        # too, where accept_cluster once counted cluster 0 as empty
+        with pytest.raises(DataError, match="^cluster ids are not contiguous from 0$"):
+            accept_cluster(Labeling([cid, cid, NOISE], [2, 2, 0]), 3, 0.10)
+
 
 class TestRemoveCluster:
     def test_drops_members_and_maps_survivors(self):

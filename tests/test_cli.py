@@ -14,7 +14,7 @@ from varden.dataio import parse_manifest, read_csv, write_csv, write_dataset_csv
 from varden.model import AdbscanParams, DataError, Dataset, LabeledDataset, Labeling, NOISE
 from varden.render import render_svg
 
-from adversarial import adversarial_scene
+from adversarial import scene
 
 
 @pytest.fixture(autouse=True)
@@ -278,13 +278,14 @@ class TestCompare:
         assert am.trace is not None and am.stop_reason is not None
         assert dm.dataset_hash == am.dataset_hash
 
-    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096)])
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), *(("runs", b) for b in (1, 7, 4096))])
     def test_shared_coordinate_text_writes_the_public_writers_bytes(self, tmp_path, monkeypatch, seed, block):
         # compare writes through a _FormattedDataset, which formats its
-        # coordinates once and slices that text per block: two labelings of
-        # one dataset, each to a CSV and an SVG, give the plain writers' bytes
+        # coordinates once per format and hands that text to the writers:
+        # two labelings of one dataset, each to a CSV and an SVG, give the
+        # plain writers' bytes
         monkeypatch.setattr(dataio, "_BLOCK", block)
-        ds, lab = adversarial_scene(seed)
+        ds, lab = scene(seed)
         relabeled = Labeling(np.roll(lab.labels, 1), np.roll(lab.classes, 1))
         for name, d in (("plain", ds), ("shared", dataio._FormattedDataset(ds.coords))):
             write_dataset_csv(LabeledDataset(d, lab.labels), tmp_path / f"{name}_dataset.csv")

@@ -30,9 +30,10 @@ from varden.model import (
     NOISE,
     PointClass,
 )
+from varden.render import render_svg
 from varden.synthgen import gen_scenario, paper_scenario
 
-from adversarial import adversarial_scene
+from adversarial import adversarial_scene, scene
 
 
 class TestReadCsv:
@@ -350,19 +351,20 @@ _UNUSUAL_TEXTS = [
 
 class TestColumnarMatchesRowLoops:
     # a block of 7 rows puts block ends inside every scene, and one of 4096
-    # holds a scene whole
-    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096)])
+    # holds a scene whole; in the "runs" scene, runs of repeated rows cross
+    # the block ends, and signed zero sites equal as floats follow each other
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096), *(("runs", b) for b in (1, 7, 4096))])
     def test_write_csv_bytes(self, tmp_path, monkeypatch, seed, block):
         monkeypatch.setattr(dataio, "_BLOCK", block)
-        ds, lab = adversarial_scene(seed)
+        ds, lab = scene(seed)
         f = tmp_path / "out.csv"
         write_csv(ds, lab, f)
         assert f.read_bytes() == _reference_write_csv(ds, lab).encode("utf-8")
 
-    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096)])
+    @pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 4096), (3, 4096), *(("runs", b) for b in (1, 7, 4096))])
     def test_write_dataset_csv_bytes(self, tmp_path, monkeypatch, seed, block):
         monkeypatch.setattr(dataio, "_BLOCK", block)
-        ds, lab = adversarial_scene(seed)
+        ds, lab = scene(seed)
         d = LabeledDataset(ds, lab.labels)
         f = tmp_path / "data.csv"
         write_dataset_csv(d, f)
@@ -453,6 +455,32 @@ class TestColumnarMatchesRowLoops:
             tracemalloc.stop()
         assert ds.coords.shape == (20_000, 2)
         assert peak < 2.0 * 2**20
+
+    @pytest.mark.parametrize("points", ["lattice", "stack"])
+    def test_writers_hold_blocks_not_columns(self, tmp_path, points):
+        # 1e5 points on a 1e-3 lattice, or stacked on one site with a 40-point
+        # halo 0.3-0.5 away. A writer holds a block of rows, and render_svg
+        # also one copy of the labels for its legend (0.76 MiB); a copy of a
+        # coordinate column would add another 0.76 MiB
+        n = 100_000
+        if points == "lattice":
+            i = np.arange(n)
+            coords = np.c_[i % 316 * 1e-3, i // 316 * 1e-3]
+        else:
+            rng = np.random.default_rng(0)
+            angle, radius = rng.uniform(0, 2 * np.pi, 40), rng.uniform(0.3, 0.5, 40)
+            coords = np.concatenate([np.zeros((n, 2)), np.c_[radius * np.cos(angle), radius * np.sin(angle)]])
+        labels = np.full(len(coords), NOISE)
+        labels[:n] = np.arange(n) // 5000
+        ds, lab = Dataset(coords), Labeling(labels, np.where(labels == NOISE, 0, 2))
+        for write, bound in ((write_csv, 0.75), (render_svg, 1.25)):
+            tracemalloc.start()
+            try:
+                write(ds, lab, tmp_path / "out")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, (write.__name__, peak)
 
 
 def fnv1a_oracle(data: bytes) -> int:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from adversarial import adversarial_scene
+from adversarial import scene
 from varden.model import Dataset, Labeling, NOISE, PointClass
 from varden import dataio
 from varden.render import NOISE_COLOR, PALETTE, UnsupportedDimension, render_svg
@@ -180,15 +180,16 @@ def _reference_svg(dataset, labeling):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 7), (3, 4096), (4, 4096), (5, 4096)])
+@pytest.mark.parametrize("seed, block", [(0, 7), (1, 7), (2, 7), (3, 4096), (4, 4096), (5, 4096), *(("runs", b) for b in (1, 7, 4096))])
 def test_matches_the_per_point_loop_byte_for_byte(tmp_path, monkeypatch, seed, block):
     # signed zeros, subnormals, 1e±300, values .6g rounds, 15 clusters (the
     # palette cycles), noise, core and border points, and class codes other
     # than the three (drawn small, as any non-core point); blocks of 7 points
-    # end inside the scene, one of 4096 holds it whole
+    # end inside the scene, one of 4096 holds it whole, and in the "runs"
+    # scene runs of repeated points cross the block ends
     monkeypatch.setattr(dataio, "_BLOCK", block)
-    ds, lab = adversarial_scene(seed)
-    if seed % 2:
+    ds, lab = scene(seed)
+    if seed in (1, 3, 5):
         lab = Labeling(lab.labels, np.where(lab.classes == 1, 5, lab.classes))
     path = tmp_path / "scene.svg"
     render_svg(ds, lab, path)
