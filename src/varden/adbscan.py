@@ -9,9 +9,10 @@ when the remainder falls to residual_fraction of the original size or
 below, when eps passes eps_cap, or after max_iters iterations.
 tune_eps_densest finds the best single radius with one neighbor scan per
 bracket, usually one in all: its probes read the blob's roots off the pairs
-that scan kept (dbscan.EpsBracket), and a probe that passes the same
-critical values as an earlier one reuses its answer. Its blob medians come
-from capped core distances at doubling radii, usually one sweep's worth.
+that scan kept (dbscan.EpsBracket), and each probe that fails joins the
+pairs that are edges at its radius into the bracket's forest, so that the
+later probes, all above it, join only the rest. Its blob medians come from
+capped core distances at doubling radii, usually one sweep's worth.
 """
 from __future__ import annotations
 
@@ -195,7 +196,8 @@ def _spread_radius(dataset: Dataset, k: int) -> float:
     8 * sqrt(d) * (n / k)^(1 / d) of the diameter, or at 2^-511.
     """
     n, dim = dataset.coords.shape
-    spread = float(np.max(np.subtract(*dataset.bounds()[::-1])))
+    with np.errstate(over="ignore"):  # an inf spread clamps to 2^512
+        spread = float(np.max(np.subtract(*dataset.bounds()[::-1])))
     return min(max(spread * (k / n) ** (1 / dim) / 8, 2.0**-511), _SQUARE_OVERFLOWS)
 
 
@@ -233,7 +235,8 @@ def _densest_blob(index: NeighborIndex, k: int, truth: np.ndarray) -> tuple[int,
     e = np.append(s[1:], blobs.size)
     dim = index.dataset.dim
     axes = [index.dataset.coords[members, ax] for ax in range(dim)]  # one axis at a time, as Dataset.bounds
-    spread = np.max([np.maximum.reduceat(x, s) - np.minimum.reduceat(x, s) for x in axes], axis=0)
+    with np.errstate(over="ignore"):  # an inf spread gives an inf scale, which the start radius clamps
+        spread = np.max([np.maximum.reduceat(x, s) - np.minimum.reduceat(x, s) for x in axes], axis=0)
     scale = (spread * (k / (e - s)) ** (1 / dim) / 2)[(e - s >= k) & (spread > 0)]
     r = _spread_radius(index.dataset, k)
     if scale.size:
@@ -279,8 +282,8 @@ def tune_eps_densest(labeled: LabeledDataset, min_pts: int = 10) -> float:
     answers both the first two doubling probes and the bisection inside
     either, and the later ones span a factor of two. A probe reads only the
     blob's roots off the bracket's forest, with no Labeling, and a probe
-    that passes the same critical values as an earlier one (EpsBracket._rank)
-    reuses its answer.
+    that fails raises the bracket's lo to its radius (EpsBracket._narrow),
+    since every later probe lies above it.
     Memory is O(n + kept pairs + one tile): coincident stacks fold into the
     bracket's base forest, and kept pairs past a budget are cut to the
     closest between two of its components.
@@ -307,9 +310,6 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
     blob, hi = _densest_blob(index, min_pts, truth)
     target = np.flatnonzero(truth == blob)
 
-    def span(lo: float, hi: float) -> _Cohesion:
-        return _Cohesion(EpsBracket(index, min_pts, lo, hi), target)
-
     # Double from the blob's own density scale so probes stay cheap. The
     # doubling ends, with hi finite: len(ds) >= min_pts, so once eps * eps
     # reaches the largest pairwise d2 or overflows, as it does from 2^512 on,
@@ -318,7 +318,8 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
     # it answers the probes at hi and 2 * hi and the bisection below either;
     # it starts at hi / 2, not 0, so that pairs already core-core there fold
     # into its forest, where at 0 only coincident stacks would. Each later
-    # one spans a factor of two.
+    # one spans a factor of two. After each failed probe the search never
+    # probes at or below it again, so the bracket narrows to it.
     if hi == 0.0:  # a stack: start from the blob's two closest distinct points, if it has two
         sites = np.unique(ds.coords[target], axis=0)
         if len(sites) > 1:
@@ -327,41 +328,31 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
             hi = math.sqrt(gaps.min()) if gaps.size else 0.0
     lo, hi = 0.0, min(max(hi, 1e-9), _SQUARE_OVERFLOWS)
     top = 2.0 * hi
-    coheres = span(0.5 * hi, top)
-    while not coheres(hi):
+    bracket = EpsBracket(index, min_pts, 0.5 * hi, top)
+    while not _coheres(bracket, target, hi):
         lo, hi = hi, 2.0 * hi
         if hi > top:
             top = hi
-            coheres = span(lo, hi)
+            bracket = EpsBracket(index, min_pts, lo, hi)
+        bracket._narrow(lo)
     while hi - lo > max(1e-9, _REL_TOL * hi):
         mid = 0.5 * (lo + hi)
-        if mid < coheres.bracket.lo:  # lo is still 0, and the blob cohered at every probe so far
-            coheres = span(mid, hi)
-        if coheres(mid):
+        if mid < bracket.lo:  # lo is still 0, and the blob cohered at every probe so far
+            bracket = EpsBracket(index, min_pts, mid, hi)
+        if _coheres(bracket, target, mid):
             hi = mid
         else:
             lo = mid
-    return hi, coheres.bracket.labeling(hi)
+            bracket._narrow(lo)
+    return hi, bracket.labeling(hi)
 
 
-class _Cohesion:
-    """tune_eps_densest's predicate on the target rows at each eps of one EpsBracket.
+def _coheres(bracket: EpsBracket, target: np.ndarray, eps: float) -> bool:
+    """tune_eps_densest's predicate on the target rows at eps in [bracket.lo, hi].
 
     Read off the bracket's roots view (EpsBracket._roots), with no Labeling:
-    the roots of the clustered target rows stand for their clusters. eps of
-    one rank (EpsBracket._rank) pass the same comparisons, so each rank is
-    read once and its answer kept.
+    the roots of the clustered target rows stand for their clusters.
     """
-
-    __slots__ = ("bracket", "_target", "_answers")
-
-    def __init__(self, bracket: EpsBracket, target: np.ndarray) -> None:
-        self.bracket, self._target, self._answers = bracket, target, {}
-
-    def __call__(self, eps: float) -> bool:
-        rank = self.bracket._rank(eps)
-        if rank not in self._answers:
-            roots = self.bracket._roots(eps)[self._target]
-            clustered = roots[roots < self.bracket.core_d2.size]  # noise has root n
-            self._answers[rank] = clustered.size >= 0.9 * self._target.size and bool((clustered == clustered[0]).all())
-        return self._answers[rank]
+    roots = bracket._roots(eps)[target]
+    clustered = roots[roots < bracket.core_d2.size]  # noise has root n
+    return clustered.size >= 0.9 * target.size and bool((clustered == clustered[0]).all())

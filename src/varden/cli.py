@@ -43,7 +43,6 @@ from .model import (
     NOISE,
     PointClass,
     VardenError,
-    validate_labeling,
 )
 # Not called here: kept bound because perfbench's span tracer looks these names up on varden.cli.
 from .adbscan import tune_eps_densest  # noqa: F401
@@ -152,9 +151,7 @@ def _prediction_labeling(pred, n: int, data: LabeledDataset) -> Labeling:
         raise DataError("prediction coordinates do not match the input dataset")
     labels = pred.truth
     classes = np.where(labels == NOISE, int(PointClass.NOISE), int(PointClass.CORE)).astype(np.int8)
-    labeling = Labeling(labels, classes)
-    validate_labeling(labeling, n)
-    return labeling
+    return Labeling(labels, classes)
 
 
 def _cmd_eval(args) -> int:

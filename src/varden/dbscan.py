@@ -158,12 +158,12 @@ class EpsBracket:
     ``labeling(eps)`` numbers the roots view at eps (_roots), which joins
     the kept core-core pairs within eps into a copy of the forest and reads
     the border links off the rest, with no scan; the tuner reads that view
-    alone, and skips a probe whose rank (_rank) it has already answered.
-    Memory is O(n + kept pairs + one tile). run_dbscan labels through the
-    bracket at lo = hi = eps.
+    alone, and raises lo to the eps of each probe that fails (_narrow), so
+    that later probes join only the pairs above it. Memory is O(n + kept
+    pairs + one tile). run_dbscan labels through the bracket at lo = hi = eps.
     """
 
-    __slots__ = ("lo", "core_d2", "_parent", "_pairs", "_critical")
+    __slots__ = ("lo", "core_d2", "_parent", "_pairs")
 
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
@@ -204,7 +204,6 @@ class EpsBracket:
         self._pairs = tuple(map(np.concatenate, zip(*kept)))
         _find(parent, np.arange(parent.size))
         self._parent = parent
-        self._critical = None
 
     def labeling(self, eps: float) -> Labeling:
         """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi].
@@ -250,18 +249,24 @@ class EpsBracket:
         np.minimum.at(roots, np.where(ci, j, i)[one], roots[np.where(ci, i, j)[one]])
         return roots
 
-    def _rank(self, eps: float) -> int:
-        """How many of the bracket's critical values are <= eps * eps.
+    def _narrow(self, lo: float) -> None:
+        """Raise the bracket's lo to lo <= hi; a lo at or below its own changes nothing.
 
-        They are the values _roots compares with eps * eps: the core
-        distances that are not NaN and the kept pairs' d2, sorted once per
-        bracket. Two eps of the same rank pass the same comparisons, so
-        they give the same roots and the same labeling.
+        Each kept pair whose mutual reachability is <= lo * lo, the sweep's
+        own fold, is an edge at every eps >= lo: it joins the base forest
+        and is dropped, and the forest is flattened again. Raising core_d2
+        to lo * lo keeps it the bits of np.maximum(kth_d2(index, min_pts,
+        hi), lo * lo) (NaN stays NaN). No kept pair is an edge at the
+        bracket's own lo, so a lo at or below it joins nothing.
         """
-        if self._critical is None:
-            c = self.core_d2
-            self._critical = np.sort(np.concatenate((c[~np.isnan(c)], self._pairs[2])))
-        return int(np.searchsorted(self._critical, eps * eps, "right"))
+        i, j, d2 = self._pairs
+        fold = np.maximum(np.maximum(d2, self.core_d2[i]), self.core_d2[j]) <= lo * lo
+        parent = self._parent
+        _union(parent, _find(parent, i[fold]), _find(parent, j[fold]))
+        _find(parent, np.arange(parent.size))
+        self._pairs = i[~fold], j[~fold], d2[~fold]
+        self.core_d2 = np.maximum(self.core_d2, lo * lo)
+        self.lo = max(self.lo, lo)
 
 
 def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:

@@ -109,7 +109,8 @@ class NeighborIndex:
             raise DataError("cannot index points with no coordinate axes")
         check_finite(dataset)
         self.dataset = dataset
-        self._axis = int(np.argmax(np.subtract(*dataset.bounds()[::-1]))) if len(dataset) else 0
+        with np.errstate(over="ignore"):  # a span past the largest double is inf, and that axis is the widest
+            self._axis = int(np.argmax(np.subtract(*dataset.bounds()[::-1]))) if len(dataset) else 0
         self._order = np.argsort(dataset.coords[:, self._axis], kind="stable")
         self._keys = dataset.coords[self._order, self._axis]
 

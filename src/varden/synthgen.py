@@ -115,23 +115,11 @@ def gen_scenario(spec: ScenarioSpec) -> LabeledDataset:
     if not isinstance(spec, ScenarioSpec):
         raise InvalidSpec(f"expected a ScenarioSpec, got {type(spec).__name__}")
     rng = SplitMix64(spec.seed)
-    dim = spec.dim
-    rows = np.empty((spec.total_points, dim))
-    truth = np.empty(spec.total_points, dtype=np.int64)
-    at = 0
-    for bi, blob in enumerate(spec.blobs):
-        for _ in range(blob.count):
-            for ax in range(dim):
-                rows[at, ax] = rng.normal(blob.center[ax], blob.std_dev)
-            truth[at] = bi
-            at += 1
-    for _ in range(spec.noise_count):
-        for ax in range(dim):
-            lo, hi = spec.noise_bounds[ax]
-            rows[at, ax] = rng.uniform(lo, hi)
-        truth[at] = NOISE
-        at += 1
-    return LabeledDataset(Dataset(rows), truth)
+    draws = [rng.normal(c, b.std_dev) for b in spec.blobs for _ in range(b.count) for c in b.center]
+    draws += [rng.uniform(lo, hi) for _ in range(spec.noise_count) for lo, hi in spec.noise_bounds]
+    truth = np.repeat(np.arange(len(spec.blobs)), [b.count for b in spec.blobs])
+    truth = np.concatenate((truth, np.full(spec.noise_count, NOISE)))
+    return LabeledDataset(Dataset(np.array(draws).reshape(-1, spec.dim)), truth)
 
 
 # Built-in scenario geometry. The blobs are listed densest first; every pair

@@ -512,9 +512,11 @@ class TestDoubledKthD2:
 @st.composite
 def _cohesion_inputs(draw):
     """Lattice points in 1-3 D (d2 ties at many radii), a nonempty target,
-    a bracket [lo, hi], and probes in it: random radii, then each radius
-    of the lattice's distances in the bracket, just below it, at it and
-    just above it, so that probes of one rank come in both orders."""
+    a bracket [lo, hi], a radius m in it to narrow the bracket to, and
+    probes in it: random radii, then each radius of the lattice's distances
+    in the bracket, just below it, at it and just above it, so that the
+    probes fall on every side of each tie. m is a random radius or one of
+    those lattice radii."""
     dim = draw(st.integers(1, 3))
     coords = np.array(draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=2, max_size=40)), dtype=float) * 0.25
     target = np.flatnonzero(draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords))))
@@ -522,21 +524,45 @@ def _cohesion_inputs(draw):
     hi = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]))
     lo = draw(st.sampled_from([0.0, 0.5 * hi, hi]))
     probes = draw(st.lists(st.floats(lo, hi, exclude_min=lo == 0.0), max_size=6))
+    radii = []
     for r in 0.25 * np.sqrt(np.arange(1, 109)):  # the lattice's d2 are 0.0625 * m, m <= 108
-        probes += [x for x in (np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)) if lo <= x <= hi]
-    return Dataset(coords), target, draw(st.integers(1, 6)), lo, hi, [float(x) for x in probes]
+        radii += [float(x) for x in (np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)) if lo <= x <= hi]
+    m = draw(st.floats(lo, hi) | st.sampled_from(radii))  # hi is a lattice radius, so radii is never empty
+    return Dataset(coords), target, draw(st.integers(1, 6)), lo, hi, m, [float(x) for x in probes + radii]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cohesion_inputs())
-def test_cached_forest_probe_is_the_labeling_predicate(case):
-    ds, target, min_pts, lo, hi, probes = case
+def test_forest_probe_is_the_labeling_predicate(case):
+    ds, target, min_pts, lo, hi, _, probes = case
     bracket = EpsBracket(build_index(ds), min_pts, lo, hi)
-    coheres = adbscan._Cohesion(bracket, target)
     for eps in probes + probes[::-1]:  # each eps twice, once after the eps above it and once after those below
         labels = bracket.labeling(eps).labels[target]
         clustered = labels[labels != NOISE]
-        assert coheres(eps) == (clustered.size >= 0.9 * target.size and len(set(clustered.tolist())) == 1)
+        assert adbscan._coheres(bracket, target, eps) == (clustered.size >= 0.9 * target.size and len(set(clustered.tolist())) == 1)
+
+
+def _bracket_state(bracket):
+    return [bracket.lo, bracket.core_d2.tobytes(), bracket._parent.tobytes(), *(a.tobytes() for a in bracket._pairs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cohesion_inputs())
+def test_narrowed_bracket_answers_as_a_fresh_one(case):
+    ds, _, min_pts, lo, hi, m, probes = case
+    index = build_index(ds)
+    fresh = EpsBracket(index, min_pts, lo, hi)
+    bracket = EpsBracket(index, min_pts, lo, hi)
+    for x in (0.0, float(np.nextafter(lo, 0.0)), lo):  # at or below lo: nothing changes
+        bracket._narrow(x)
+        assert _bracket_state(bracket) == _bracket_state(fresh)
+    bracket._narrow(m)
+    assert bracket.lo == m
+    assert bracket.core_d2.tobytes() == np.maximum(fresh.core_d2, m * m).tobytes()  # NaN where NaN
+    for eps in [x for x in probes if x >= m]:
+        assert np.array_equal(bracket._roots(eps), fresh._roots(eps))
+        got, want = bracket.labeling(eps), fresh.labeling(eps)
+        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.classes, want.classes)
 
 
 def _tune_traced(labeled):

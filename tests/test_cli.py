@@ -254,6 +254,14 @@ class TestEval:
                   "--out", str(pred)])
         assert cli_main(["eval", "--in", str(dataset_csv), "--pred", str(pred)]) == 2
 
+    def test_prediction_with_a_gap_in_its_cluster_ids_rejected(self, tmp_path, dataset_csv, capsys):
+        ds = read_csv(dataset_csv).dataset
+        pred = tmp_path / "pred.csv"
+        labels = np.where(np.arange(len(ds)) % 2, 2, 0)  # clusters 0 and 2, no 1
+        write_csv(ds, Labeling(labels, np.full(len(ds), 2)), pred)
+        assert cli_main(["eval", "--in", str(dataset_csv), "--pred", str(pred)]) == 2
+        assert "cluster ids are not contiguous from 0" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_emits_all_artifacts(self, tmp_path, capsys):

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varden.metrics import adjusted_rand_index
-from varden.model import DataError, Dataset, DbscanParams, NOISE, PointClass
+from varden.adbscan import run_adbscan, tune_eps_densest
+from varden.model import AdbscanParams, DataError, Dataset, DbscanParams, LabeledDataset, NOISE, PointClass
 from varden.neighborhood import NeighborIndex, build_index, kth_d2, region_query_naive
 from varden import dbscan, neighborhood
 from varden.dbscan import (
@@ -475,6 +476,22 @@ def test_adversarial_coordinates_match_reference(seed):
             lab = run_dbscan(ds, params)
             assert lab.labels.tolist() == labels
             assert lab.classes.tolist() == classes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extent_past_the_largest_double():
+    # the x span, 2e308, overflows to inf: that axis is still the widest, and
+    # the tuner's start radius clamps to 2^512
+    ds = Dataset(np.array([[1e308, 0], [-1e308, 0], [0, 0], [0, 1]]))
+    params = DbscanParams(1.0, 2)
+    build_index(ds)
+    labels, classes = _reference_dbscan(ds, params)
+    lab = run_dbscan(ds, params)
+    assert lab.labels.tolist() == labels == [NOISE, NOISE, 0, 0] and lab.classes.tolist() == classes
+    assert classify_point(ds, 2, params) == PointClass.CORE
+    assert run_adbscan(ds, AdbscanParams(k=1, eps0=1.0, min_pts0=2)).labels.tolist() == labels
+    for truth in ([0, 0, 0, 0], [NOISE, NOISE, 0, 0]):
+        assert math.isfinite(tune_eps_densest(LabeledDataset(ds, np.array(truth)), min_pts=2))
 
 
 @pytest.mark.parametrize("min_pts", [4, 80])

@@ -1,4 +1,9 @@
-"""The public API in varden.__all__ is an output: a name may not drop out of it unnoticed."""
+"""The public API in varden.__all__ is an output: a name may not drop out of it unnoticed.
+Nor may a name that the benchmark's span tracer wraps."""
+import importlib
+import importlib.util
+from pathlib import Path
+
 import varden
 
 PUBLIC = [
@@ -58,3 +63,12 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in varden.__all__:
         assert getattr(varden, name) is not None, name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/spans.py skips a target it cannot find, and its metrics then read 0
+    spec = importlib.util.spec_from_file_location("spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, *_ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
