@@ -23,10 +23,14 @@ starts, and the sweep never measures a pair inside a component it already
 knows. A certified point's core distance is therefore not read, and
 core_d2 holds np.maximum(kth_d2(index, min_pts, hi), lo * lo), which no
 labeling(eps) with eps >= lo can tell from the exact value. Every other
-pair within hi is measured once: it joins the components at every eps of
-the bracket when its mutual reachability max(d2, core_d2[i], core_d2[j]) is
-at most lo * lo, before the sweep moves on to the next tile, and is
-otherwise kept for labeling(eps) while one of its ends is core at hi.
+pair within hi is measured once, in the tile of the end the sweep reaches
+first, and counts as a hit of both ends. It is decided once both ends'
+core distances are known: in the tile of its later end, or at once when
+that end already has min_pts hits within lo, since counts only grow. It
+joins the components at every eps of the bracket when its mutual
+reachability max(d2, core_d2[i], core_d2[j]) is at most lo * lo, before
+the sweep moves on to the next tile, and is otherwise kept for
+labeling(eps) while one of its ends is core at hi.
 
 The four predicates (classify_point, is_directly_density_reachable,
 is_density_reachable, is_density_connected) state DBSCAN's definitions
@@ -58,9 +62,9 @@ from .model import (
     check_int,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, _axis_d2, _cells, _kth_d2, build_index, region_query
+from .neighborhood import NeighborIndex, _axis_d2, _cells, build_index, region_query
 
-_PAIR_BUDGET = 1 << 15  # pairs an EpsBracket takes in beyond twice its last cut before cutting again
+_PAIR_BUDGET = 1 << 15  # kept, or waiting, pairs an EpsBracket takes in beyond twice its last cut before cutting again
 
 
 def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -91,12 +95,13 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
         u, v = u[split], v[split]
         np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         ends = np.concatenate((u, v))
+        top = parent[ends]
         while True:
-            up = parent[parent[ends]]
-            if np.array_equal(up, parent[ends]):
+            up = parent[top]
+            if np.array_equal(up, top):
                 break
-            parent[ends] = up
-        u, v = parent[u], parent[v]
+            parent[ends] = top = up
+        u, v = top[: u.size], top[u.size :]
 
 
 def run_dbscan(dataset: Dataset, params: DbscanParams, index: NeighborIndex | None = None) -> Labeling:
@@ -118,49 +123,57 @@ class EpsBracket:
     core_d2 holds each point's min_pts-th smallest d2 (itself included),
     raised to lo * lo, where it is <= hi * hi, and NaN elsewhere: the bits of
     np.maximum(kth_d2(index, min_pts, hi), lo * lo), read off the same hits
-    as the pairs. A row with min_pts hits within lo is lo * lo and one with
-    fewer than min_pts hits NaN, both by counting its hits; only a row whose
-    value lies in (lo * lo, hi * hi] is partitioned (neighborhood._kth_d2),
-    so at lo = hi, as in run_dbscan, none is. p is core at eps exactly when
-    core_d2[p] <= eps * eps, and a pair is a core-core edge exactly when its
-    mutual reachability max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi &
-    Sander, PAKDD 2013) is <= eps * eps; raising the values to lo * lo
-    changes neither answer.
+    as the pairs. p is core at eps exactly when core_d2[p] <= eps * eps, and
+    a pair is a core-core edge exactly when its mutual reachability
+    max(d2, core_d2[i], core_d2[j]) (Campello, Moulavi & Sander, PAKDD 2013)
+    is <= eps * eps; raising the values to lo * lo changes neither answer.
 
     Before the sweep, every certified cell (module docstring; Gan & Tao,
     "DBSCAN Revisited", SIGMOD 2015) joins the base forest rooted at its
     smallest index, and its points get core_d2 = lo * lo without a
     partition. The cells are the tiles' blocks (NeighborIndex.tiles), swept
     first: a block gathers its candidates from the tiles' grid around its
-    bounding box, and its rows only meet swept points outside its component.
-    n coincident points cost O(n log n), not n * n / 32 d2 entries.
+    bounding box, and its rows only meet the points of other blocks swept
+    before it, outside its component. n coincident points cost
+    O(n log n), not n * n / 32 d2 entries.
 
-    A tile fixes its rows' core distances, so each pair within hi is decided
-    once, in the tile of whichever end is swept later (within one tile, at
-    the end that comes later in it), when both ends' are known, and only
-    while its ends lie in two components of the base union-find forest:
-    the sweep positions, then the roots, then the core distances are read
-    per hit, each only for the hits the step before kept. A pair whose
-    mutual reachability is <= lo * lo is an edge at every eps of the
-    bracket, so it joins the forest; NaN never passes that one comparison.
-    Each tile's edges are joined in one union at the end of the tile (each
-    run of one row's edges into one component once), so no later tile
-    decides a pair that this one joined: a block never gathers such a
-    candidate again, as NeighborIndex.tiles promises a caller that joins
-    each tile before the next, and a row drops such a hit at the roots. A
-    pair with neither end core at hi is never an edge nor a border link,
-    and is dropped. The rest are kept as (i, j, d2), and whenever too many
-    have come in they are cut, against the current forest, to the closest
-    pair between two base components (or a component and a point, or two
-    points): the two sides touch at eps exactly when that pair is within
-    eps, and either end stands for its component. A tile whose rows have no
-    hit (a block with no candidate left) only takes its sweep positions.
+    Every other point is a row, and the tiles give each pair once, at the
+    end the sweep reaches first (the half neighbour list of molecular
+    dynamics codes): a row meets the blocks' points and the rows after it.
+    Each hit within lo counts for both its ends, in near, so a row's count
+    is whole once its own tile is in. Then it is core at lo with min_pts of
+    them; with fewer, its value lies above lo * lo, the (min_pts - near)-th
+    of its hits above lo (_exact_d2), or NaN, so at lo = hi, as in
+    run_dbscan, no hit is sorted. A pair is decided once both ends' values
+    are final: a block's pairs at once; a row's pair with a later point b in
+    the tile of b, or at once when b already has min_pts hits within lo,
+    as counts only grow, which makes b's value lo * lo. Until then it
+    waits. Waiting pairs are held as they come in, and whenever too many
+    have, the sure links among them (from a point core at lo, within lo)
+    are tied (_tie): one per waiting point and component stands for the
+    rest, since b's core distance alone decides what such a pair is.
+    _decide drops a pair whose ends already share a root of the base
+    union-find forest. A pair whose mutual reachability is <= lo * lo is
+    an edge at every eps of the bracket, so it joins the forest; NaN never
+    passes that test. Each tile's edges are joined in one union at the end
+    of the tile (each run of one row's edges into one component once), so
+    no later tile decides a pair that this one joined: a block never
+    gathers such a candidate again, as NeighborIndex.tiles promises a
+    caller that joins each tile before the next, and a row drops such a
+    pair at the roots. A pair with neither end core at hi is never an edge
+    nor a border link, and is dropped. The rest are kept as (i, j, d2), and
+    whenever too many have come in they are cut, against the current
+    forest, to the closest pair between two base components (or a
+    component and a point, or two points): the two sides touch at eps
+    exactly when that pair is within eps, and either end stands for its
+    component. After the sweep only the pairs between two components stay.
     ``labeling(eps)`` numbers the roots view at eps (_roots), which joins
     the kept core-core pairs within eps into a copy of the forest and reads
     the border links off the rest, with no scan; the tuner reads that view
     alone, and raises lo to the eps of each probe that fails (_narrow), so
     that later probes join only the pairs above it. Memory is O(n + kept
-    pairs + one tile). run_dbscan labels through the bracket at lo = hi = eps.
+    pairs + waiting pairs + one tile). run_dbscan labels through the
+    bracket at lo = hi = eps.
     """
 
     __slots__ = ("lo", "core_d2", "_parent", "_pairs")
@@ -168,42 +181,52 @@ class EpsBracket:
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
         n = len(index.dataset)
-        parent = _dense_cells(index.dataset.coords, min_pts, lo)
+        parent = _dense_cells(index, min_pts, lo)
         certified = np.bincount(parent, minlength=n)[parent] > 1
-        core_d2 = np.where(certified, lo2, np.nan)
-        swept = np.full(n, n)  # each point's position in the sweep; n until its tile comes
-        done = 0
-        kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]  # (i, j, d2); a lone stack's tiles keep none
-        held = cut = 0
+        core_d2 = np.full(n, lo2)  # a point's final value once its tile has come; lo * lo until then
+        k = min(min_pts, n + 1)  # no point has more than n hits
+        near = np.where(certified, k, 1)  # hits within lo so far, itself included; k once its pairs are ready
+        tie, tie_d2 = np.full(n, -1), np.zeros(n)  # a waiting point's tie: one sure link (earlier end, d2)
+        none = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
+        kept, waiting = [none], none  # (a, b, d2): a waiting pair waits for b, its later end
+        held = cut = tied = 0
         for rows, i, j, d2 in index.tiles(hi, lambda p: _find(parent, p)):
-            pos = np.arange(done, done + rows.size)
-            done += rows.size
-            swept[rows] = pos
-            if not i.size:  # a block's rows with no candidate left: certified, so their core_d2 is set
-                continue
-            if not certified[rows[0]]:  # a certified cell's rows meet only the swept points outside its component
-                core_d2[rows] = _kth_d2(i, d2, min_pts, rows.size, lo2, hi2)
-            ru = _find(parent, rows)  # roots, as _union needs, until this tile's edges are joined
-            k = np.flatnonzero(swept[j] < pos[i])  # each pair once, from its later end
-            k = k[_find(parent, j[k]) != ru[i[k]]]  # and only while its ends lie in two components
-            i, j, d2 = i[k], j[k], d2[k]
-            ci, cj, rv = core_d2[rows[i]], core_d2[j], parent[j]  # _find pointed each j at its root
-            # mutual reachability within lo: an edge at every eps of the bracket (NaN never is)
-            fold = np.maximum(np.maximum(d2, ci), cj) <= lo2
-            u, v = ru[i[fold]], rv[fold]
-            new = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))[: u.size]  # the same edge comes in runs: one of each
-            _union(parent, u[new], v[new])  # before the next tile, which then skips what this one joined
-            keep = ~fold & ((ci <= hi2) | (cj <= hi2))
-            kept.append((rows[i[keep]], j[keep], d2[keep]))
+            a, b = rows[i], j
+            if certified[rows[0]]:  # a block's rows meet only swept points of other blocks, all certified
+                if not i.size:
+                    continue
+            else:  # the rows' last hits: each row's pairs with earlier points were waiting for it
+                inside = slice(None) if lo2 >= hi2 else d2 <= lo2  # each hit within lo counts for both ends
+                np.add.at(near, b[inside], 1)
+                near[rows] += np.bincount(i[inside], minlength=rows.size)
+                t = rows[tie[rows] >= 0]
+                if waiting[0].size or t.size:
+                    a, b, d2 = (np.concatenate(x) for x in zip(waiting, (a, b, d2), (tie[t], t, tie_d2[t])))
+                    waiting = none
+                core_d2[rows] = np.where(near[rows] >= k, lo2, np.nan)
+                if lo2 < hi2:  # a row short of min_pts within lo takes the (min_pts - near)-th hit above lo, or NaN
+                    low = rows[near[rows] < k]
+                    core_d2[low] = _exact_d2(low, k - near[low], a, b, d2, lo2, n)
+                near[rows] = k
+                ready = near[b] >= k  # counts only grow: min_pts hits within lo make b core at lo before its tile
+                if not ready.all():
+                    waiting = tuple(np.concatenate(x) for x in zip(waiting, (a[~ready], b[~ready], d2[~ready])))
+                    a, b, d2 = a[ready], b[ready], d2[ready]
+            kept.append(_decide(parent, a, b, d2, core_d2, lo2, hi2))
+            if waiting[0].size > _PAIR_BUDGET + 2 * tied:
+                waiting = _tie(parent, tie, tie_d2, *waiting, core_d2, lo2)
+                tied = waiting[0].size
             held += kept[-1][0].size
             if held > _PAIR_BUDGET + 2 * cut:
                 kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
                 held = cut = kept[0][0].size
         self.lo = lo
         self.core_d2 = core_d2
-        self._pairs = tuple(map(np.concatenate, zip(*kept)))
         _find(parent, np.arange(parent.size))
         self._parent = parent
+        a, b, d2 = map(np.concatenate, zip(*kept))
+        apart = parent[a] != parent[b]  # flat: each point's parent is its root
+        self._pairs = a[apart], b[apart], d2[apart]
 
     def labeling(self, eps: float) -> Labeling:
         """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi].
@@ -254,30 +277,34 @@ class EpsBracket:
 
         Each kept pair whose mutual reachability is <= lo * lo, the sweep's
         own fold, is an edge at every eps >= lo: it joins the base forest
-        and is dropped, and the forest is flattened again. Raising core_d2
-        to lo * lo keeps it the bits of np.maximum(kth_d2(index, min_pts,
-        hi), lo * lo) (NaN stays NaN). No kept pair is an edge at the
-        bracket's own lo, so a lo at or below it joins nothing.
+        and is dropped, and the forest is flattened again. So is every kept
+        pair whose ends now share a root, which can change no root. Raising
+        core_d2 to lo * lo keeps it the bits of np.maximum(kth_d2(index,
+        min_pts, hi), lo * lo) (NaN stays NaN). No kept pair is an edge at
+        the bracket's own lo, so a lo at or below it joins nothing.
         """
         i, j, d2 = self._pairs
         fold = np.maximum(np.maximum(d2, self.core_d2[i]), self.core_d2[j]) <= lo * lo
         parent = self._parent
         _union(parent, _find(parent, i[fold]), _find(parent, j[fold]))
         _find(parent, np.arange(parent.size))
+        fold |= parent[i] == parent[j]  # flat: each point's parent is its root
         self._pairs = i[~fold], j[~fold], d2[~fold]
         self.core_d2 = np.maximum(self.core_d2, lo * lo)
         self.lo = max(self.lo, lo)
 
 
-def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
+def _dense_cells(index: NeighborIndex, min_pts: int, lo: float) -> np.ndarray:
     """A base forest in which each certified cell is one component rooted at its smallest index.
 
     The points are bucketed into cells of side lo / sqrt(d), by the cell
     code of the neighbor tiles (neighborhood._cells), and grouped by one
-    lexicographic sort of their cells. A cell is certified when it holds at
-    least min_pts points, and two or more, and its bounding box passes one
-    check: the d2 between the box's corners, which neighborhood._axis_d2
-    accumulates from the per-axis spans as it does every d2, is <= lo * lo.
+    stable sort of their cells on every axis but the sweep axis, taken in
+    the index's sweep order, where the sweep axis's cells already ascend. A
+    cell is certified when it holds at least min_pts points, and two or
+    more, and its bounding box passes one check: the d2 between the box's
+    corners, which neighborhood._axis_d2 accumulates from the per-axis
+    spans as it does every d2, is <= lo * lo.
     Rounding is monotone, so that sum bounds every member pair's computed
     d2, and every member is core, and adjacent to every other, at every
     eps >= lo. The check alone makes a certificate; the cells only find the
@@ -285,14 +312,15 @@ def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
     simply checked together: a stack far from the origin still lands in one
     cell. With lo = 0 no cell is certified.
     """
+    coords = index.dataset.coords
     n, dim = coords.shape
     parent = np.arange(n)
     side = lo / math.sqrt(dim)
     if not (n and side > 0):
         return parent
-    cell = _cells(coords, side)
-    order = np.lexsort(cell.T[::-1])
-    cell = cell[order]
+    cell = _cells(coords, side)[index._order]
+    by_cell = np.lexsort([cell[:, ax] for ax in range(dim) if ax != index._axis][::-1]) if dim > 1 else np.arange(n)
+    order, cell = index._order[by_cell], cell[by_cell]
     starts = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)])
     del cell  # before the boxes
     sizes = np.diff(starts, append=n)
@@ -306,6 +334,68 @@ def _dense_cells(coords: np.ndarray, min_pts: int, lo: float) -> np.ndarray:
     ok = np.repeat(_axis_d2(*([f.reduceat(a, firsts) for a in x] for f in (np.maximum, np.minimum))) <= lo * lo, sizes)
     parent[members[ok]] = np.repeat(np.minimum.reduceat(members, firsts), sizes)[ok]
     return parent
+
+
+def _decide(parent, a, b, d2, core_d2, lo2, hi2):
+    """Join the pairs (a, b, d2) that are edges at every eps of the bracket; return those kept for labeling.
+
+    Both ends' core distances are final. A pair whose ends already share a
+    root is dropped. The edges are joined in one union (each run of one
+    row's edges into one component once), so the next tile skips them.
+    """
+    ra, rb = _find(parent, a), _find(parent, b)
+    apart = ra != rb
+    ca, cb = core_d2[a], core_d2[b]
+    # mutual reachability within lo, an edge at every eps of the bracket (NaN is within nothing)
+    fold = apart & (d2 <= lo2) & (ca <= lo2) & (cb <= lo2)
+    keep = apart & ~fold & ((ca <= hi2) | (cb <= hi2))
+    del ca, cb  # a float per pair, before the union's own arrays
+    edge = fold.copy()
+    edge[1:] &= ~fold[:-1] | (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])  # the same edge comes in runs: one of each
+    _union(parent, ra[edge], rb[edge])
+    return a[keep], b[keep], d2[keep]
+
+
+def _exact_d2(rows, need, a, b, d2, lo2, n):
+    """Each rows[q]'s need[q]-th smallest d2 above lo2 among the pairs (a, b, d2) it ends; NaN where it has fewer.
+
+    rows are some rows of one tile, each with fewer than min_pts hits within
+    lo, so each row's core distance lies above lo * lo. Every pair of such a
+    row above lo is among its tile's pairs: no such pair is tied, nor
+    decided before its later end's tile comes.
+    """
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(rows.size)
+    above = d2 > lo2
+    qa, qb = np.flatnonzero(above & (slot[a] >= 0)), np.flatnonzero(above & (slot[b] >= 0))
+    at, hits = np.concatenate((slot[a[qa]], slot[b[qb]])), np.concatenate((d2[qa], d2[qb]))
+    order = np.argsort(hits)
+    order = order[np.argsort(at[order].astype(np.int16), kind="stable")]  # a tile's rows fit int16, sorted by radix
+    at, hits = at[order], hits[order]
+    start = np.searchsorted(at, np.arange(rows.size))
+    ok = np.diff(np.append(start, at.size)) >= need
+    out = np.full(rows.size, np.nan)
+    out[ok] = hits[start[ok] + need[ok] - 1]
+    return out
+
+
+def _tie(parent, tie, tie_d2, a, b, d2, core_d2, lo2):
+    """The waiting pairs (a, b, d2) that still have to be held.
+
+    A sure link, with a core at lo and d2 within lo, ties b to a's
+    component whatever b turns out to be: an edge at every eps of the
+    bracket if b is core at lo, and otherwise a pair whose fate turns on
+    b's core distance alone. So one sure link of b is held as its tie, and
+    another only while it comes from a component other than the tie's.
+    """
+    sure = np.flatnonzero((d2 <= lo2) & (core_d2[a] <= lo2))
+    free = sure[tie[b[sure]] < 0]
+    tie[b[free]] = a[free]
+    won = free[tie[b[free]] == a[free]]  # one per point
+    tie_d2[b[won]] = d2[won]
+    hold = np.ones(a.size, dtype=bool)
+    hold[sure[_find(parent, tie[b[sure]]) == _find(parent, a[sure])]] = False
+    return a[hold], b[hold], d2[hold]
 
 
 def _closest_pairs(parent: np.ndarray, i: np.ndarray, j: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -7,16 +7,19 @@ A sweep index (``build_index`` / ``region_query``) and a pure-Python scan
 within eps once per row, with its d2, and nothing else. All of them
 accumulate d2 axis by axis in the same order (``_axis_d2``, through
 which every d2 entry passes) and compare it with the same eps * eps, so
-they agree bit for bit, boundary points included. ``kth_d2`` reads each
-k-th smallest d2 off the hits, for every point or only for the rows
-asked for, so a caller can retry the rows it still needs at a larger
-radius; dbscan.EpsBracket reads the same values inside its own sweep
-(``_kth_d2``), so one sweep both fixes the core set and joins, and
-passes ``tiles`` the roots of its union-find, joining each tile's pairs
-before it asks for the next, so that points it already knows to be
-joined are never measured against each other. dbscan's
-certified cells use the same cell code (``_cells``) at their own side, and
-measure their bounding boxes' diagonals with the same ``_axis_d2``.
+they agree bit for bit, boundary points included; d2 is symmetric bit
+for bit, as fl(a - b) == -fl(b - a). ``kth_d2`` reads each k-th smallest
+d2 off the hits, for every point or only for the rows asked for, so a
+caller can retry the rows it still needs at a larger radius.
+dbscan.EpsBracket passes ``tiles`` the roots of its union-find instead:
+then each pair is measured once, at the end that comes first in the
+sweep, like the half neighbour list of molecular dynamics, and the
+bracket credits it to both ends, so one sweep both fixes the core set
+and joins. It joins each tile's pairs before it asks for the next, so
+that points it already knows to be joined are never measured against
+each other. dbscan's certified cells use the same cell code (``_cells``)
+at their own side, and measure their bounding boxes' diagonals with the
+same ``_axis_d2``.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 from .model import Dataset, DataError, _data_errors, check_finite, check_float, check_int
 
 _TILE = 32  # the fewest query rows a tile holds
-_ENTRIES = 1 << 13  # rows times widest row's candidates that a tile of more than _TILE rows holds at most
+_ENTRIES = 1 << 15  # rows times widest row's candidates that a tile of more than _TILE rows holds at most
 _SHARE = 2  # a tile's rows share the span of their runs while it is at most this many times their own candidates
 _CHUNK = 2048  # rows, or blocks, whose candidate runs are looked up together
 _CLIP = 2.0**61  # cell indices are clipped to +-_CLIP
@@ -99,7 +102,8 @@ class NeighborIndex:
     the slab. A tile is a run of rows in that order, sized by its widest
     row rather than its rows, and each row meets only its own box: on 2-D
     points at about 10 per ball that is about 20 candidates, where 32 rows
-    of a sparse column shared about 115.
+    of a sparse column shared about 115, and about 9.4 once each row meets
+    only the part of its box after it (a sweep with roots).
     """
 
     __slots__ = ("dataset", "_axis", "_order", "_keys")
@@ -127,41 +131,51 @@ class NeighborIndex:
         padding; rows that lie close together share the span of their runs
         while it costs at most twice their own candidates (_Grid._tile). A
         tile holds at least 32 rows, and more while its rows times its
-        widest row's candidates stay within 8192, which bounds a caller that
-        lays the hits out row by row; but it never reaches past its chunk of
-        2048 rows, whose runs are looked up together, so a chunk's last tile
-        may hold fewer.
+        widest row's candidates stay within _ENTRIES, which bounds a caller
+        that lays the hits out row by row; but it never reaches past its
+        chunk of 2048 rows, whose runs are looked up together, so a chunk's
+        last tile may hold fewer.
 
-        rows, if given, lists the point ids that are rows outside the blocks
-        below, each once however often it is listed; the other points are
-        candidates only.
+        rows, if given, lists the point ids that are rows, each once however
+        often it is listed; the other points are candidates only.
 
-        roots, if given, maps point indices to the roots (point indices) of
-        the components a caller's union-find has joined them into so far,
-        and it is called again between tiles, as the caller joins more. A
-        component that holds two or more points when the sweep starts is a
-        block: the blocks are swept first, one at a time, and their rows
-        share one candidate row of the points already swept that lie outside
-        the block's component. A block gathers its candidates once, from its
-        bounding box, and re-roots the rest before each of its tiles, so a
-        caller that joins a tile's pairs before the next one, as
-        dbscan.EpsBracket does, never meets a joined candidate again. Its
-        tiles grow from 1 row to 32, so that its first row's joins spare
-        the rest; once no candidate is left, the rest of the block is one
-        tile with no hits. Only the other points' hits are their whole
-        neighborhoods.
+        roots, if given instead, maps point indices to the roots (point
+        indices) of the components a caller's union-find has joined them
+        into so far, and it is called again between tiles, as the caller
+        joins more. Such a sweep measures each pair once, and no point
+        against itself. A component that holds two or more points when the
+        sweep starts is a block: the blocks are swept first, one at a time,
+        and their rows share one candidate row of the points of the blocks
+        already swept that lie outside the block's component. A block
+        gathers its candidates once, from its bounding box, and re-roots the
+        rest before each of its tiles, so a caller that joins a tile's pairs
+        before the next one, as dbscan.EpsBracket does, never meets a joined
+        candidate again. Its tiles grow from 1 row to 32, so that its first
+        row's joins spare the rest; once no candidate is left, the rest of
+        the block is one tile with no hits. Every other point is a row that
+        meets, of its box, every block's point and the rows after it in the
+        grid, whose blocks' points lie after all its rows (_Grid): its hits
+        with earlier rows came in their tiles, as their j. So a row's hits
+        are its whole neighborhood only together with the hits that name it
+        as j in the tiles before and in its own.
         """
         eps = check_float(eps, "eps", 0)
-        grid = _Grid(self, eps)
-        shared = np.zeros(len(grid.order), dtype=bool)
-        if roots is not None:
-            root = roots(grid.order)  # by grid position
-            shared = np.bincount(root, minlength=shared.size)[root] > 1
-            if shared.any():
-                yield from grid.blocks(np.flatnonzero(shared), root, roots)
-            del root  # n entries the tiles do not need
-        rest = ~shared if rows is None else ~shared & np.isin(grid.order, rows)
-        yield from grid.rows(np.flatnonzero(rest))
+        if roots is None:
+            grid = _Grid(self, eps)
+            rest = np.arange(len(grid.order)) if rows is None else np.flatnonzero(np.isin(grid.order, rows))
+            yield from grid.rows(rest)
+            return
+        root = roots(np.arange(len(self._order)))
+        block = np.bincount(root, minlength=root.size)[root] > 1
+        blocks = int(np.count_nonzero(block))
+        grid = _Grid(self, eps, block[self._order] if 0 < blocks < block.size else None)  # blocks after rows
+        nrows = len(grid.order) - blocks
+        root = root[grid.order[nrows:]]  # the blocks' roots, by grid position
+        del block  # n entries the tiles do not need
+        if blocks:
+            yield from grid.blocks(root, roots)
+        del root
+        yield from grid.rows(np.arange(nrows), forward=True)
 
 
 class _Grid:
@@ -176,17 +190,24 @@ class _Grid:
     sweep coordinate's searchsorted position in that order is thus a
     bound on r. col is built one axis at a time, each prefix of cells
     numbered densely among the prefixes that hold a point, so no key
-    reaches n * (n + 1) and none can wrap.
+    reaches n * (n + 1) and none can wrap. In a sweep with both blocks and
+    rows, the first cell of each point is a flag, 1 on the blocks' points,
+    so they lie after every row: cut to start after its own position, a
+    row's runs still hold every block's point in its box, while a block's
+    runs are looked up among the blocks' points alone.
     """
 
-    __slots__ = ("w", "e2", "axis", "others", "order", "axes", "keys", "sweep", "occupied", "prefixes")
+    __slots__ = ("w", "e2", "axis", "others", "order", "axes", "keys", "sweep", "occupied", "prefixes", "flagged")
 
-    def __init__(self, index: NeighborIndex, eps: float) -> None:
+    def __init__(self, index: NeighborIndex, eps: float, last=None) -> None:
         self.w, self.e2, self.axis, self.sweep = _half_width(eps), eps * eps, index._axis, index._keys
         self.others = [ax for ax in range(index.dataset.dim) if ax != self.axis]
         coords = index.dataset.coords
         cells = [_cells(coords[index._order, ax], self.w) for ax in self.others]  # per axis, in sweep order
-        by_cell = np.lexsort((index._keys, *cells[::-1]))
+        self.flagged = last is not None
+        if self.flagged:
+            cells.insert(0, last.astype(float))
+        by_cell = np.lexsort(cells[::-1]) if cells else np.arange(len(index._order))  # stable: columns keep sweep order
         n = by_cell.size
         self.order = index._order[by_cell]  # the point ids by grid position
         self.axes = [coords[self.order, ax] for ax in range(index.dataset.dim)]  # contiguous, with no copy of all the points first
@@ -201,23 +222,31 @@ class _Grid:
             col = np.cumsum(new) - 1
         self.keys = col * n + by_cell
 
-    def runs(self, lo, hi):
+    def runs(self, lo, hi, flags=(0.0, 1.0), ahead=False):
         """(box, starts, stops): the runs of grid positions that hold every point within w of box k, ascending by box.
 
         Box k spans [lo[ax][k], hi[ax][k]] on each axis ax, and has one run
         in every occupied column between its padded bounds' cells,
-        f(fl(lo - w)) to f(fl(hi + w)) on each axis but the sweep axis;
-        empty runs are left out. The boxes' k-th runs are looked up
-        together: for rows in grid order their keys ascend, which keeps
-        searchsorted fast.
+        f(fl(lo - w)) to f(fl(hi + w)) on each axis but the sweep axis, and
+        between the flags, where the grid has them; empty runs are left out.
+        ahead starts the first of those axes at the box's own cell, f(lo):
+        for a row, the columns before its own lie wholly before it. The
+        boxes' k-th runs are looked up together: for rows in grid order
+        their keys ascend, which keeps searchsorted fast.
         """
         n, boxes = len(self.order), lo[0].size
+        own = lo
         with np.errstate(over="ignore"):
             lo, hi = [x - self.w for x in lo], [x + self.w for x in hi]
         col, held = np.zeros((1, boxes), dtype=np.int64), np.ones((1, boxes), dtype=bool)
-        for ax, occ, prefixes in zip(self.others, self.occupied, self.prefixes):
-            first = np.searchsorted(occ, _cells(lo[ax], self.w))
-            span = np.searchsorted(occ, _cells(hi[ax], self.w), "right") - first
+        cells = [(_cells(lo[ax], self.w), _cells(hi[ax], self.w)) for ax in self.others]
+        if ahead and cells:  # a forward row's columns before its own lie wholly before it
+            cells[0] = (_cells(own[self.others[0]], self.w), cells[0][1])
+        if self.flagged:
+            cells.insert(0, flags)
+        for (a, b), occ, prefixes in zip(cells, self.occupied, self.prefixes):
+            first = np.searchsorted(occ, a)
+            span = np.searchsorted(occ, b, "right") - first
             step = np.arange(span.max(initial=0))[:, None]
             key = ((col * occ.size + first)[:, None] + step).reshape(-1, boxes)
             held = (held[:, None] & (step < span)).reshape(key.shape)
@@ -228,29 +257,36 @@ class _Grid:
         box, k = np.nonzero((held & (stops > starts)).T)
         return box, starts[k, box], stops[k, box]
 
-    def rows(self, rest: np.ndarray):
+    def rows(self, rest: np.ndarray, forward: bool = False):
         """The tiles of the rows at grid positions rest, each row against the runs of its own box.
 
-        _CHUNK rows at a time have their runs looked up together. A tile
-        takes _TILE rows, and then more while its rows times its widest
-        row's candidates stay within _ENTRIES, and stops at the chunk's end.
+        forward cuts each run to start after the row's own position, so
+        that a row meets only the rows after it and the blocks' points,
+        which lie after every row. _CHUNK rows at a time have their runs
+        looked up together. A tile takes _TILE rows, and then more while its
+        rows times its widest row's candidates stay within _ENTRIES, and
+        stops at the chunk's end.
         """
         for t in range(0, rest.size, _CHUNK):
             chunk = rest[t : t + _CHUNK]
             at = [x[chunk] for x in self.axes]
-            box, starts, stops = self.runs(at, at)
+            box, starts, stops = self.runs(at, at, ahead=forward and not self.flagged)
+            if forward:
+                starts = np.maximum(starts, chunk[box] + 1)
+                some = stops > starts
+                box, starts, stops = box[some], starts[some], stops[some]
             first = np.searchsorted(box, np.arange(chunk.size + 1))  # row i's runs are first[i]:first[i + 1]
-            length = np.add.reduceat(stops - starts, first[:-1])  # every row's box holds the row itself
+            length = np.diff(np.append(0, np.cumsum(stops - starts))[first])  # candidates; a forward row may have none
             a = 0
             while a < chunk.size:
-                width = np.maximum.accumulate(length[a : a + max(_TILE, _ENTRIES // length[a])])
+                width = np.maximum.accumulate(length[a : a + max(_TILE, _ENTRIES // max(length[a], 1))])
                 b = a + max(_TILE, int(np.count_nonzero(width * np.arange(1, width.size + 1) <= _ENTRIES)))
                 b = min(b, chunk.size)
                 q = slice(first[a], first[b])
-                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a)
+                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a, forward)
                 a = b
 
-    def _tile(self, pos, starts, stops, row):
+    def _tile(self, pos, starts, stops, row, forward):
         """The hits of the rows at grid positions pos, row[q] owning the run starts[q]:stops[q].
 
         Each row is measured flat against its own runs: the runs,
@@ -259,36 +295,48 @@ class _Grid:
         together that the span from the first run's start to the last one's
         stop holds at most _SHARE times their own candidates per row, they
         share that span instead, as a block does: a slice, with no gather
-        per entry.
+        per entry. A forward row then drops the hits that lie before it,
+        which the rows before it have measured.
         """
+        if not starts.size:  # forward rows with no point after them
+            return self.order[pos], pos[:0], pos[:0], np.empty(0)
         size, span = stops - starts, slice(starts.min(), stops.max())
         if pos.size * (span.stop - span.start) <= _SHARE * size.sum():
-            return self._shared(pos, span)
+            return self._shared(pos, span, forward)
         cand, i = _ranges(starts, stops), np.repeat(row, size)
         d2 = _axis_d2((x[cand] for x in self.axes), (x[pos][i] for x in self.axes))
         hit = np.flatnonzero(d2 <= self.e2)
         return self.order[pos], i[hit], self.order[cand[hit]], d2[hit]
 
-    def _shared(self, pos, cand):
-        """The hits of the rows at grid positions pos against the candidates cand (positions or a slice) that they share."""
+    def _shared(self, pos, cand, forward=False):
+        """The hits of the rows at grid positions pos against the candidates cand (positions or a slice) that they share.
+
+        forward keeps, of a slice, only the candidates after each row.
+        """
         d2 = _axis_d2((x[cand] for x in self.axes), (x[pos, None] for x in self.axes))
         k = np.flatnonzero(d2 <= self.e2)
         i, c = np.divmod(k, d2.shape[1])
+        if forward:
+            after = cand.start + c > pos[i]
+            k, i, c = k[after], i[after], c[after]
         return self.order[pos], i, self.order[cand][c], d2.ravel()[k]
 
-    def blocks(self, shared, root, roots):
-        """The tiles of the blocks of tiles(eps, roots): shared holds their grid positions, root their roots."""
+    def blocks(self, root, roots):
+        """The tiles of the blocks of tiles(eps, roots): the last root.size grid positions, root their roots."""
         axes, ids = self.axes, self.order
-        by_root = shared[np.argsort(root[shared], kind="stable")]
-        del shared  # n entries the blocks' tiles do not need
-        firsts = np.flatnonzero(np.r_[True, root[by_root][1:] != root[by_root][:-1]])
+        by_root = np.argsort(root, kind="stable")
+        root = root[by_root]
+        firsts = np.flatnonzero(np.r_[True, root[1:] != root[:-1]])
+        del root  # n entries the blocks' tiles do not need
+        by_root += len(ids) - by_root.size
         ends = np.append(firsts[1:], by_root.size)
         swept = np.zeros(len(ids), dtype=bool)
         for b0 in range(0, firsts.size, _CHUNK):  # _CHUNK blocks at a time
             at = firsts[b0 : b0 + _CHUNK]
             members = by_root[at[0] : ends[b0 + at.size - 1]]
             at = at - at[0]
-            box, starts, stops = self.runs(*([f.reduceat(x[members], at) for x in axes] for f in (np.minimum, np.maximum)))
+            bounds = ([f.reduceat(x[members], at) for x in axes] for f in (np.minimum, np.maximum))
+            box, starts, stops = self.runs(*bounds, (1.0, 1.0))  # the blocks' points only
             bounds = np.searchsorted(box, np.arange(at.size + 1))
             for block, x, y in zip(np.split(members, at[1:]), bounds, bounds[1:]):
                 cand = _ranges(starts[x:y], stops[x:y])
@@ -375,30 +423,29 @@ def kth_d2(index: NeighborIndex, k: int, r: float, rows=None) -> np.ndarray:
     rows, if given, lists the point ids whose values are read; the rest
     stay NaN. A value is the same at every r at which it is defined, so a
     caller that needs some rows' exact values retries only their NaN rows
-    at a larger r (the tuner doubles r). dbscan.EpsBracket computes the
-    same bits inline, per tile of its own sweep, with _kth_d2 raising them
-    to its lo * lo (0.0 here, which no d2 is below). ParamError unless k is
-    an integer >= 1 (2.0 is 2) and r is finite and > 0.
+    at a larger r (the tuner doubles r). dbscan.EpsBracket reaches the
+    same bits inside its own sweep, from hits counted at both ends of each
+    pair. ParamError unless k is an integer >= 1 (2.0 is 2) and r is finite
+    and > 0.
     """
     k, r = check_int(k, "k", 1), check_float(r, "r", 0)
     out = np.full(len(index.dataset), np.nan)
     for tile, i, _, d2 in index.tiles(r, rows=rows):
-        out[tile] = _kth_d2(i, d2, k, tile.size, 0.0, r * r)
+        out[tile] = _kth_d2(i, d2, k, tile.size)
     return out
 
 
-def _kth_d2(i: np.ndarray, d2: np.ndarray, k: int, size: int, floor: float, cap: float) -> np.ndarray:
-    """Each of a tile's size rows' k-th smallest hit d2, raised to floor; NaN for a row with fewer than k hits.
+def _kth_d2(i: np.ndarray, d2: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Each of a tile's size rows' k-th smallest hit d2; NaN for a row with fewer than k hits.
 
-    i holds each hit's row, ascending, and no hit's d2 exceeds cap. A row
-    with k hits <= floor is floor, with no partition: every row with k hits
-    once floor >= cap. The other rows with k hits, whose k-th lies above
-    floor, are laid out one line each, padded with inf (>= every hit) to
-    the widest such row, and partitioned.
+    i holds each hit's row, ascending. A row with k hits at 0.0 (coincident
+    points) is 0.0, with no partition. The other rows with k hits are laid
+    out one line each, padded with inf (>= every hit) to the widest such
+    row, and partitioned.
     """
     count = np.bincount(i, minlength=size)
-    out = np.where(count >= k, floor, np.nan)
-    exact = (count >= k) & ((np.bincount(i[d2 <= floor], minlength=size) < k) if floor < cap else False)
+    out = np.where(count >= k, 0.0, np.nan)
+    exact = (count >= k) & (np.bincount(i[d2 == 0.0], minlength=size) < k)
     if exact.any():
         width = count[exact]
         lines = np.full((width.size, width.max()), np.inf)

@@ -366,6 +366,50 @@ def test_bracket_matches_run_dbscan(case):
         assert got.classes.tolist() == classes
 
 
+_LATTICE_RADII = [0.25 * math.sqrt(m) for m in (1, 2, 4, 5, 8, 9)]  # pairs of 0.25-lattice points lie at exactly these
+
+
+@st.composite
+def _stacked_lattice_inputs(draw):
+    """Lone lattice points mixed with coincident stacks of 2-31 points, d = 1..3.
+
+    A stack of min_pts points or more is a certified cell, so blocks lie in
+    space before and after the lone points and the small stacks, which are
+    rows. lo < hi are two lattice radii, at which pairs lie at exactly eps.
+    Tiles of 1 or 3 rows, and a pair budget of 0 or 8, make pairs wait for
+    later tiles, tie their waiting ends and cut their kept pairs.
+    """
+    dim = draw(st.integers(1, 3))
+    site = st.tuples(*[st.integers(0, 6)] * dim)
+    lone = draw(st.lists(site, max_size=25))
+    stacks = draw(st.lists(st.tuples(site, st.integers(2, 31)), min_size=1, max_size=3))
+    coords = np.array(lone + [at for at, count in stacks for _ in range(count)], dtype=float).reshape(-1, dim) * 0.25
+    coords = coords[draw(st.permutations(range(len(coords))))]
+    lo, hi = sorted(draw(st.lists(st.sampled_from(_LATTICE_RADII), min_size=2, max_size=2, unique=True)))
+    small = draw(st.sampled_from([None, (1, 0), (3, 8)]))
+    return Dataset(coords), draw(st.integers(2, 12)), lo, hi, small
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacked_lattice_inputs())
+def test_stacks_among_lattice_points_match_reference(case):
+    ds, min_pts, lo, hi, small = case
+    with pytest.MonkeyPatch.context() as patch:
+        if small:
+            patch.setattr(neighborhood, "_TILE", small[0])
+            patch.setattr(neighborhood, "_ENTRIES", 1)
+            patch.setattr(dbscan, "_PAIR_BUDGET", small[1])
+        index = build_index(ds)
+        bracket = EpsBracket(index, min_pts, lo, hi)
+        assert bracket.core_d2.tobytes() == np.maximum(kth_d2(index, min_pts, hi), lo * lo).tobytes()
+        for eps in (lo, 0.5 * (lo + hi), hi):
+            params = DbscanParams(eps, min_pts)
+            labels, classes = _reference_dbscan(ds, params)
+            for lab in (run_dbscan(ds, params, index=index), bracket.labeling(eps)):
+                assert lab.labels.tolist() == labels
+                assert lab.classes.tolist() == classes
+
+
 @pytest.mark.parametrize("min_pts, lo, hi", [(3, 0.25, 1.5), (40, 1.0, 2.0)])
 def test_bracket_matches_run_dbscan_when_it_cuts_its_pairs(min_pts, lo, hi):
     # 1000 lattice points. At min_pts 3, 30k pairs span 799 points core at lo
@@ -452,7 +496,7 @@ def test_certificate_is_exact_at_a_cells_diagonal(lo):
     above = lo in _CUBE_DIAGONAL_ABOVE_LO
     assert t * t + t * t + t * t == (np.nextafter(lo * lo, math.inf) if above else lo * lo)
     ds = Dataset(np.repeat([[0.0] * 3, [t] * 3], [3, 4], axis=0))
-    certified = dbscan._dense_cells(ds.coords, 5, lo) != np.arange(len(ds))
+    certified = dbscan._dense_cells(build_index(ds), 5, lo) != np.arange(len(ds))
     assert certified.sum() == (0 if above else 6)  # all but the root
     params = DbscanParams(lo, 5)
     labels, classes = _reference_dbscan(ds, params)
@@ -512,9 +556,10 @@ def test_matches_reference_across_union_flushes(min_pts):
 def test_each_tile_is_joined_before_the_next(monkeypatch, lo, hi):
     # when the sweep asks for a tile, every pair it has been given with both
     # ends swept and mutual reachability within lo already shares one root;
-    # 2000 points with no certified cell, so all 7 to 11 tiles are row tiles,
-    # for which tiles never calls roots: a sweep that held a tile's edges
-    # back past the next tile fails here
+    # 2000 points with no certified cell, so all 8 to 12 tiles (at a budget
+    # of 4096 entries) are row tiles, for which tiles never calls roots: a
+    # sweep that held a tile's edges back past the next tile fails here
+    monkeypatch.setattr(neighborhood, "_ENTRIES", 1 << 12)
     rng = np.random.default_rng(5)
     ds = Dataset(rng.uniform(0, 20, size=(2000, 2)))
     index = build_index(ds)
@@ -536,6 +581,22 @@ def test_each_tile_is_joined_before_the_next(monkeypatch, lo, hi):
     monkeypatch.setattr(NeighborIndex, "tiles", joined)
     EpsBracket(index, 8, lo, hi)
     assert len(checked) > 3 and 0 < checked[0] < checked[-1]
+
+
+def test_a_waiting_point_keeps_a_link_to_each_component():
+    # point 4 waits on four pairs at lo * lo = 0.25: sure links from 0 and 1,
+    # which share a component, and from 2, in another; and a pair from 3,
+    # which is not core. One sure link becomes 4's tie, but a link to the
+    # other component must be held, or a core 4 would never join the two,
+    # and so must 3's pair, whose fate turns on 4
+    parent = np.array([0, 0, 2, 3, 4])
+    tie, tie_d2 = np.full(5, -1), np.zeros(5)
+    core_d2 = np.array([0.25, 0.25, 0.25, np.nan, 0.25])
+    a, b, d2 = np.arange(4), np.full(4, 4), np.array([0.2, 0.1, 0.25, 0.1])
+    held = dbscan._tie(parent, tie, tie_d2, a, b, d2, core_d2, 0.25)
+    assert tie[4] in (0, 1, 2) and tie_d2[4] == d2[tie[4]]
+    assert (held[1] == 4).all() and np.array_equal(held[2], d2[held[0]]) and 3 in held[0]
+    assert {int(parent[x]) for x in [tie[4], *held[0]]} == {0, 2, 3}
 
 
 def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
@@ -637,6 +698,28 @@ def _traced_peak(ds, params):
     return lab, peak
 
 
+@pytest.mark.parametrize(
+    "case, bound",
+    # the peaks before the sweep measured each pair once were 8.10 and 49.99
+    # MiB. 4000 uniform points, min_pts 800: the pairs from one grid column
+    # to the next wait for their later ends (60 MiB traced when all are
+    # held). 20000 coincident points, a certified cell, with 40 points 0.3 to
+    # 0.5 from them: 32 rows meet the whole stack in one tile
+    [("dense", 8.0), ("halo", 49.9)],
+)
+def test_waiting_pairs_stay_in_bounded_memory(case, bound):
+    rng = np.random.default_rng(0)
+    if case == "dense":
+        coords, params = rng.uniform(0.0, 1.0, size=(4000, 2)), DbscanParams(0.5, 800)
+    else:
+        angle, radius = rng.uniform(0.0, 2 * math.pi, 40), rng.uniform(0.3, 0.5, 40)
+        halo = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        coords, params = np.concatenate([np.zeros((20_000, 2)), halo]), DbscanParams(0.5, 10)
+    lab, peak = _traced_peak(Dataset(coords), params)
+    assert lab.n_clusters == 1
+    assert peak < bound * 2**20
+
+
 def test_coincident_points_stay_in_bounded_memory():
     # every pair of the 3000 points is a neighbor pair: 9M of them
     lab, peak = _traced_peak(Dataset(np.zeros((3000, 2))), DbscanParams(0.5, 10))
@@ -708,6 +791,18 @@ def test_grid_tiles_measure_no_padding_in_2d(work):
     lab = run_dbscan(Dataset(coords), DbscanParams(math.sqrt(10 / (math.pi * n)), 10))
     assert lab.n_clusters >= 1
     assert work["entries"] <= 21 * n
+
+
+def test_rows_measure_each_pair_once(work):
+    # 2e4 uniform points, about 10 per ball of radius 0.5, as in the sparse
+    # benchmark input: each row meets only the points after it in the sweep,
+    # where it met its whole box and 396,568 d2 entries were measured
+    n = 20_000
+    side = math.sqrt(n * math.pi * 0.5 * 0.5 / 10)
+    coords = np.random.default_rng(1).uniform(0.0, side, size=(n, 2))
+    lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
+    assert lab.n_clusters >= 1
+    assert work["entries"] <= 0.55 * 396_568
 
 
 def test_eps_beyond_the_diameter_is_one_certified_cell():

@@ -292,6 +292,29 @@ class TestTiles:
                     assert hood is None
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sweep_with_roots_gives_each_pair_once(self, dim):
+        # lattice points (ties at exactly eps) and coincident stacks, some of
+        # them blocks: every point is a row once, and every pair within eps
+        # comes once, at either end, but for the pairs inside one block
+        rng = np.random.default_rng(dim)
+        sites = rng.integers(0, 8, size=(6, dim))
+        coords = np.concatenate([rng.integers(0, 8, size=(150, dim)), np.repeat(sites, [2, 5, 9, 1, 3, 12], axis=0)]) * 0.25
+        ds = Dataset(coords[rng.permutation(len(coords))])
+        n = len(ds)
+        _, first, block = np.unique(ds.coords, axis=0, return_index=True, return_inverse=True)
+        stacked = np.bincount(block)[block] >= 5  # the stacks of 5, 9 and 12, and any lattice point among them
+        root = np.where(stacked, first[block], np.arange(n))
+        for eps in (0.25, 2**0.5 * 0.25, 1.0):
+            rows, pairs = [], []
+            for tile, i, j, d2 in build_index(ds).tiles(eps, lambda p: root[p]):
+                rows += tile.tolist()
+                pairs += (np.minimum(tile[i], j) * n + np.maximum(tile[i], j)).tolist()
+                assert np.all(tile[i] != j) and np.all(d2 <= eps * eps)
+            want = [a * n + b for a in range(n) for b in region_query_naive(ds, a, eps).tolist() if a < b and root[a] != root[b]]
+            assert sorted(rows) == list(range(n))
+            assert sorted(pairs) == sorted(want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_and_single_point(self, dim):
         for n in (0, 1):
             idx = build_index(Dataset(np.zeros((n, dim))))
