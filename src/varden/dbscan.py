@@ -13,24 +13,26 @@ that reaches it, which is the lowest numbered one. One ``EpsBracket``
 sweep of the neighbor tiles fixes the core set and labels every eps of
 [lo, hi]; run_dbscan uses lo = hi = eps.
 
-Dense balls cost no distances inside them. Following Gan & Tao's grid, the
-bracket buckets the points into cells of side lo / sqrt(d), with the cell
-code of the neighbor tiles' grid (which has side about hi), and a cell of
-at least min_pts points whose bounding box has a squared diagonal, taken
-through the same _axis_d2 as every d2, of at most lo * lo is certified: its
-points are core and joined at every eps of the bracket before the sweep
-starts, and the sweep never measures a pair inside a component it already
-knows. A certified point's core distance is therefore not read, and
-core_d2 holds np.maximum(kth_d2(index, min_pts, hi), lo * lo), which no
-labeling(eps) with eps >= lo can tell from the exact value. Every other
-pair within hi is measured once, in the tile of the end the sweep reaches
-first, and counts as a hit of both ends. It is decided once both ends'
-core distances are known: in the tile of its later end, or at once when
-that end already has min_pts hits within lo, since counts only grow. It
-joins the components at every eps of the bracket when its mutual
-reachability max(d2, core_d2[i], core_d2[j]) is at most lo * lo, before
-the sweep moves on to the next tile, and is otherwise kept for
-labeling(eps) while one of its ends is core at hi.
+Dense balls cost no distances inside them. Following Gan & Tao's grid,
+neighborhood.dense_cells buckets the points into cells of side lo /
+sqrt(d), with the cell code of the neighbor tiles' grid (which has side
+about hi), and a cell of at least min_pts points whose bounding box has a
+squared diagonal, taken through the same neighborhood._axis_d2 as every d2,
+of at most lo * lo is certified: its points are core and joined at every
+eps of the bracket before the sweep starts, and the sweep never measures a
+pair inside a component it already knows. A certified point's core distance
+is therefore not read, and core_d2 holds np.maximum(kth_d2(index, min_pts,
+hi), lo * lo), which no labeling(eps) with eps >= lo can tell from the
+exact value. Every other pair within hi is measured once, in the tile of
+the end the sweep reaches first, and counts as a hit of both ends. It is
+decided once both ends' core distances are known: in the tile of its later
+end, or at once when that end already has min_pts hits within lo, since
+counts only grow. It joins the components at every eps of the bracket when
+its mutual reachability max(d2, core_d2[i], core_d2[j]) is at most lo * lo,
+before the sweep moves on to the next tile, and is otherwise kept for
+labeling(eps) while one of its ends is core at hi. A pair that waits for
+its later end may be tied: only its earlier end is held, and it comes back
+with d2 = lo * lo, which every reader of a d2 within lo answers alike.
 
 The four predicates (classify_point, is_directly_density_reachable,
 is_density_reachable, is_density_connected) state DBSCAN's definitions
@@ -47,7 +49,6 @@ fl(a - b) == -fl(b - a).
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
@@ -62,7 +63,7 @@ from .model import (
     check_int,
     validate_dataset,
 )
-from .neighborhood import NeighborIndex, _axis_d2, _cells, build_index, region_query
+from .neighborhood import NeighborIndex, build_index, dense_cells, region_query
 
 _PAIR_BUDGET = 1 << 15  # kept, or waiting, pairs an EpsBracket takes in beyond twice its last cut before cutting again
 
@@ -150,8 +151,15 @@ class EpsBracket:
     as counts only grow, which makes b's value lo * lo. Until then it
     waits. Waiting pairs are held as they come in, and whenever too many
     have, the sure links among them (from a point core at lo, within lo)
-    are tied (_tie): one per waiting point and component stands for the
-    rest, since b's core distance alone decides what such a pair is.
+    are tied (_tie): one sure link of each waiting point b becomes its tie,
+    of which only the earlier end is held, and the sure links from the
+    tie's component are dropped, since b's core distance alone decides what
+    such a pair is; a sure link from any other component is held. In b's
+    tile the tie comes back as (tie, b, lo * lo). That is exact, as a sure
+    link's d2 is within lo and every reader of a d2 answers alike for any
+    d2 within lo: _decide's fold test, _exact_d2 (which reads only the hits
+    above lo), _closest_pairs (whose choice between two pairs within lo
+    changes no label), and _narrow and _roots, which run at eps >= lo.
     _decide drops a pair whose ends already share a root of the base
     union-find forest. A pair whose mutual reachability is <= lo * lo is
     an edge at every eps of the bracket, so it joins the forest; NaN never
@@ -166,7 +174,9 @@ class EpsBracket:
     forest, to the closest pair between two base components (or a
     component and a point, or two points): the two sides touch at eps
     exactly when that pair is within eps, and either end stands for its
-    component. After the sweep only the pairs between two components stay.
+    component. The sweep ends by narrowing to its own lo (_narrow), which
+    joins nothing there, as _decide folded every pair within lo, and drops
+    the kept pairs inside one component.
     ``labeling(eps)`` numbers the roots view at eps (_roots), which joins
     the kept core-core pairs within eps into a copy of the forest and reads
     the border links off the rest, with no scan; the tuner reads that view
@@ -181,12 +191,12 @@ class EpsBracket:
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
         n = len(index.dataset)
-        parent = _dense_cells(index, min_pts, lo)
+        parent = dense_cells(index, min_pts, lo)
         certified = np.bincount(parent, minlength=n)[parent] > 1
         core_d2 = np.full(n, lo2)  # a point's final value once its tile has come; lo * lo until then
         k = min(min_pts, n + 1)  # no point has more than n hits
         near = np.where(certified, k, 1)  # hits within lo so far, itself included; k once its pairs are ready
-        tie, tie_d2 = np.full(n, -1), np.zeros(n)  # a waiting point's tie: one sure link (earlier end, d2)
+        tie = np.full(n, -1)  # a waiting point's tie: the earlier end of one sure link
         none = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
         kept, waiting = [none], none  # (a, b, d2): a waiting pair waits for b, its later end
         held = cut = tied = 0
@@ -201,7 +211,7 @@ class EpsBracket:
                 near[rows] += np.bincount(i[inside], minlength=rows.size)
                 t = rows[tie[rows] >= 0]
                 if waiting[0].size or t.size:
-                    a, b, d2 = (np.concatenate(x) for x in zip(waiting, (a, b, d2), (tie[t], t, tie_d2[t])))
+                    a, b, d2 = (np.concatenate(x) for x in zip(waiting, (a, b, d2), (tie[t], t, np.full(t.size, lo2))))
                     waiting = none
                 core_d2[rows] = np.where(near[rows] >= k, lo2, np.nan)
                 if lo2 < hi2:  # a row short of min_pts within lo takes the (min_pts - near)-th hit above lo, or NaN
@@ -214,19 +224,15 @@ class EpsBracket:
                     a, b, d2 = a[ready], b[ready], d2[ready]
             kept.append(_decide(parent, a, b, d2, core_d2, lo2, hi2))
             if waiting[0].size > _PAIR_BUDGET + 2 * tied:
-                waiting = _tie(parent, tie, tie_d2, *waiting, core_d2, lo2)
+                waiting = _tie(parent, tie, *waiting, core_d2, lo2)
                 tied = waiting[0].size
             held += kept[-1][0].size
             if held > _PAIR_BUDGET + 2 * cut:
                 kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
                 held = cut = kept[0][0].size
-        self.lo = lo
-        self.core_d2 = core_d2
-        _find(parent, np.arange(parent.size))
-        self._parent = parent
-        a, b, d2 = map(np.concatenate, zip(*kept))
-        apart = parent[a] != parent[b]  # flat: each point's parent is its root
-        self._pairs = a[apart], b[apart], d2[apart]
+        self.lo, self.core_d2, self._parent = lo, core_d2, parent
+        self._pairs = tuple(map(np.concatenate, zip(*kept)))
+        self._narrow(lo)  # joins nothing: _decide folded every pair within lo; drops the pairs inside one component
 
     def labeling(self, eps: float) -> Labeling:
         """What run_dbscan returns at (eps, min_pts), for eps in [lo, hi].
@@ -279,9 +285,10 @@ class EpsBracket:
         own fold, is an edge at every eps >= lo: it joins the base forest
         and is dropped, and the forest is flattened again. So is every kept
         pair whose ends now share a root, which can change no root. Raising
-        core_d2 to lo * lo keeps it the bits of np.maximum(kth_d2(index,
-        min_pts, hi), lo * lo) (NaN stays NaN). No kept pair is an edge at
-        the bracket's own lo, so a lo at or below it joins nothing.
+        core_d2 to lo * lo, in place, keeps it the bits of
+        np.maximum(kth_d2(index, min_pts, hi), lo * lo) (NaN stays NaN). No
+        kept pair is an edge at the bracket's own lo, so a lo at or below it
+        joins nothing; the sweep ends here, at its own lo.
         """
         i, j, d2 = self._pairs
         fold = np.maximum(np.maximum(d2, self.core_d2[i]), self.core_d2[j]) <= lo * lo
@@ -290,50 +297,8 @@ class EpsBracket:
         _find(parent, np.arange(parent.size))
         fold |= parent[i] == parent[j]  # flat: each point's parent is its root
         self._pairs = i[~fold], j[~fold], d2[~fold]
-        self.core_d2 = np.maximum(self.core_d2, lo * lo)
+        np.maximum(self.core_d2, lo * lo, out=self.core_d2)
         self.lo = max(self.lo, lo)
-
-
-def _dense_cells(index: NeighborIndex, min_pts: int, lo: float) -> np.ndarray:
-    """A base forest in which each certified cell is one component rooted at its smallest index.
-
-    The points are bucketed into cells of side lo / sqrt(d), by the cell
-    code of the neighbor tiles (neighborhood._cells), and grouped by one
-    stable sort of their cells on every axis but the sweep axis, taken in
-    the index's sweep order, where the sweep axis's cells already ascend. A
-    cell is certified when it holds at least min_pts points, and two or
-    more, and its bounding box passes one check: the d2 between the box's
-    corners, which neighborhood._axis_d2 accumulates from the per-axis
-    spans as it does every d2, is <= lo * lo.
-    Rounding is monotone, so that sum bounds every member pair's computed
-    d2, and every member is core, and adjacent to every other, at every
-    eps >= lo. The check alone makes a certificate; the cells only find the
-    candidates, so cells that the clip to +-2^61 or rounding merges are
-    simply checked together: a stack far from the origin still lands in one
-    cell. With lo = 0 no cell is certified.
-    """
-    coords = index.dataset.coords
-    n, dim = coords.shape
-    parent = np.arange(n)
-    side = lo / math.sqrt(dim)
-    if not (n and side > 0):
-        return parent
-    cell = _cells(coords, side)[index._order]
-    by_cell = np.lexsort([cell[:, ax] for ax in range(dim) if ax != index._axis][::-1]) if dim > 1 else np.arange(n)
-    order, cell = index._order[by_cell], cell[by_cell]
-    starts = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)])
-    del cell  # before the boxes
-    sizes = np.diff(starts, append=n)
-    big = sizes >= max(min_pts, 2)
-    if not big.any():
-        return parent
-    members = order[np.repeat(big, sizes)]
-    sizes = sizes[big]
-    firsts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    x = [coords[members, ax] for ax in range(dim)]  # one array per axis: reduceat on n x d rows is twice as slow
-    ok = np.repeat(_axis_d2(*([f.reduceat(a, firsts) for a in x] for f in (np.maximum, np.minimum))) <= lo * lo, sizes)
-    parent[members[ok]] = np.repeat(np.minimum.reduceat(members, firsts), sizes)[ok]
-    return parent
 
 
 def _decide(parent, a, b, d2, core_d2, lo2, hi2):
@@ -379,20 +344,20 @@ def _exact_d2(rows, need, a, b, d2, lo2, n):
     return out
 
 
-def _tie(parent, tie, tie_d2, a, b, d2, core_d2, lo2):
+def _tie(parent, tie, a, b, d2, core_d2, lo2):
     """The waiting pairs (a, b, d2) that still have to be held.
 
     A sure link, with a core at lo and d2 within lo, ties b to a's
     component whatever b turns out to be: an edge at every eps of the
     bracket if b is core at lo, and otherwise a pair whose fate turns on
-    b's core distance alone. So one sure link of b is held as its tie, and
-    another only while it comes from a component other than the tie's.
+    b's core distance alone. So the earlier end of one sure link of b is
+    held as its tie, in tie[b], and the sure links from the tie's component
+    are dropped; every sure link from another component is held. The tie
+    comes back in b's tile as (tie[b], b, lo * lo), its d2 being within lo.
     """
     sure = np.flatnonzero((d2 <= lo2) & (core_d2[a] <= lo2))
     free = sure[tie[b[sure]] < 0]
     tie[b[free]] = a[free]
-    won = free[tie[b[free]] == a[free]]  # one per point
-    tie_d2[b[won]] = d2[won]
     hold = np.ones(a.size, dtype=bool)
     hold[sure[_find(parent, tie[b[sure]]) == _find(parent, a[sure])]] = False
     return a[hold], b[hold], d2[hold]

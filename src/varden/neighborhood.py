@@ -17,9 +17,10 @@ sweep, like the half neighbour list of molecular dynamics, and the
 bracket credits it to both ends, so one sweep both fixes the core set
 and joins. It joins each tile's pairs before it asks for the next, so
 that points it already knows to be joined are never measured against
-each other. dbscan's certified cells use the same cell code (``_cells``)
-at their own side, and measure their bounding boxes' diagonals with the
-same ``_axis_d2``.
+each other. ``dense_cells`` finds the bracket's certified cells (Gan &
+Tao's dense cells, which it joins before the sweep) with the same cell
+code (``_cells``) at their own side, and measures their bounding boxes'
+diagonals with the same ``_axis_d2``.
 """
 from __future__ import annotations
 
@@ -76,6 +77,48 @@ def _cells(x: np.ndarray, side: float) -> np.ndarray:
         return np.zeros_like(x)
     with np.errstate(over="ignore"):
         return np.floor(np.clip(x / side, -_CLIP, _CLIP))
+
+
+def dense_cells(index: NeighborIndex, min_pts: int, lo: float) -> np.ndarray:
+    """A base forest in which each certified cell is one component rooted at its smallest index.
+
+    These are Gan & Tao's dense cells, which dbscan.EpsBracket joins before its
+    sweep at its own lo. The points are bucketed into cells of side lo /
+    sqrt(d), by the cell code of the neighbor tiles (_cells), and grouped by
+    one stable sort of their cells on every axis but the sweep axis, taken in
+    the index's sweep order, where the sweep axis's cells already ascend. A
+    cell is certified when it holds at least min_pts points, and two or more,
+    and its bounding box passes one check: the d2 between the box's corners,
+    which _axis_d2 accumulates from the per-axis spans as it does every d2, is
+    <= lo * lo. Rounding is monotone, so that sum bounds every member pair's
+    computed d2, and every member is core, and adjacent to every other, at
+    every eps >= lo. The check alone makes a certificate; the cells only find
+    the candidates, so cells that the clip to +-2^61 or rounding merges are
+    simply checked together: a stack far from the origin still lands in one
+    cell. With lo = 0 no cell is certified.
+    """
+    coords = index.dataset.coords
+    n, dim = coords.shape
+    parent = np.arange(n)
+    side = lo / math.sqrt(dim)
+    if not (n and side > 0):
+        return parent
+    cell = _cells(coords, side)[index._order]
+    by_cell = np.lexsort([cell[:, ax] for ax in range(dim) if ax != index._axis][::-1]) if dim > 1 else np.arange(n)
+    order, cell = index._order[by_cell], cell[by_cell]
+    starts = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)])
+    del cell  # before the boxes
+    sizes = np.diff(starts, append=n)
+    big = sizes >= max(min_pts, 2)
+    if not big.any():
+        return parent
+    members = order[np.repeat(big, sizes)]
+    sizes = sizes[big]
+    firsts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    x = [coords[members, ax] for ax in range(dim)]  # one array per axis: reduceat on n x d rows is twice as slow
+    ok = np.repeat(_axis_d2(*([f.reduceat(a, firsts) for a in x] for f in (np.maximum, np.minimum))) <= lo * lo, sizes)
+    parent[members[ok]] = np.repeat(np.minimum.reduceat(members, firsts), sizes)[ok]
+    return parent
 
 
 class NeighborIndex:

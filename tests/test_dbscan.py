@@ -496,7 +496,7 @@ def test_certificate_is_exact_at_a_cells_diagonal(lo):
     above = lo in _CUBE_DIAGONAL_ABOVE_LO
     assert t * t + t * t + t * t == (np.nextafter(lo * lo, math.inf) if above else lo * lo)
     ds = Dataset(np.repeat([[0.0] * 3, [t] * 3], [3, 4], axis=0))
-    certified = dbscan._dense_cells(build_index(ds), 5, lo) != np.arange(len(ds))
+    certified = neighborhood.dense_cells(build_index(ds), 5, lo) != np.arange(len(ds))
     assert certified.sum() == (0 if above else 6)  # all but the root
     params = DbscanParams(lo, 5)
     labels, classes = _reference_dbscan(ds, params)
@@ -590,13 +590,34 @@ def test_a_waiting_point_keeps_a_link_to_each_component():
     # other component must be held, or a core 4 would never join the two,
     # and so must 3's pair, whose fate turns on 4
     parent = np.array([0, 0, 2, 3, 4])
-    tie, tie_d2 = np.full(5, -1), np.zeros(5)
+    tie = np.full(5, -1)
     core_d2 = np.array([0.25, 0.25, 0.25, np.nan, 0.25])
     a, b, d2 = np.arange(4), np.full(4, 4), np.array([0.2, 0.1, 0.25, 0.1])
-    held = dbscan._tie(parent, tie, tie_d2, a, b, d2, core_d2, 0.25)
-    assert tie[4] in (0, 1, 2) and tie_d2[4] == d2[tie[4]]
+    held = dbscan._tie(parent, tie, a, b, d2, core_d2, 0.25)
+    assert tie[4] in (0, 1, 2)
     assert (held[1] == 4).all() and np.array_equal(held[2], d2[held[0]]) and 3 in held[0]
     assert {int(parent[x]) for x in [tie[4], *held[0]]} == {0, 2, 3}
+
+
+def test_tied_links_match_reference_across_a_bracket(work, monkeypatch):
+    # a 16 x 16 lattice of step 0.25 and the bracket [0.5, 0.75]: pairs lie
+    # at exactly lo, and min_pts 13 is an inner point's whole lo-ball, so its
+    # pairs wait until its last neighbour is swept. With 4-row tiles and a
+    # budget of 8 waiting pairs, sure links are tied; a tie comes back at
+    # d2 = lo * lo (at hi * hi the lattice falls apart into 3 clusters at lo)
+    monkeypatch.setattr(neighborhood, "_TILE", 4)
+    monkeypatch.setattr(neighborhood, "_ENTRIES", 1)
+    monkeypatch.setattr(dbscan, "_PAIR_BUDGET", 8)
+    ds = Dataset(np.stack(np.meshgrid(np.arange(16), np.arange(16)), -1).reshape(-1, 2) * 0.25)
+    lo, hi, min_pts = 0.5, 0.75, 13
+    bracket = EpsBracket(build_index(ds), min_pts, lo, hi)
+    assert work["ties"] >= 1
+    assert work["narrows"] == work["brackets"] == 1  # the sweep ends by narrowing to its own lo
+    for eps in (lo, 0.5 * (lo + hi), hi):
+        labels, classes = _reference_dbscan(ds, DbscanParams(eps, min_pts))
+        lab = bracket.labeling(eps)
+        assert lab.labels.tolist() == labels
+        assert lab.classes.tolist() == classes
 
 
 def test_matches_reference_when_border_pairs_are_cut(monkeypatch):
@@ -803,6 +824,17 @@ def test_rows_measure_each_pair_once(work):
     lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 10))
     assert lab.n_clusters >= 1
     assert work["entries"] <= 0.55 * 396_568
+
+
+def test_sparse_points_stay_in_bounded_memory():
+    # the input above: 3.52 MiB traced while the bracket also kept each
+    # tie's d2, 8 bytes per point; 3.37 MiB with the tie's earlier end alone
+    n = 20_000
+    side = math.sqrt(n * math.pi * 0.5 * 0.5 / 10)
+    coords = np.random.default_rng(1).uniform(0.0, side, size=(n, 2))
+    lab, peak = _traced_peak(Dataset(coords), DbscanParams(0.5, 10))
+    assert lab.n_clusters >= 1
+    assert peak < 3.44 * 2**20
 
 
 def test_eps_beyond_the_diameter_is_one_certified_cell():
