@@ -321,7 +321,7 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
     # one spans a factor of two. After each failed probe the search never
     # probes at or below it again, so the bracket narrows to it.
     if hi == 0.0:  # a stack: start from the blob's two closest distinct points, if it has two
-        sites = np.unique(ds.coords[target], axis=0)
+        sites = np.unique(ds.coords[target], axis=0, return_index=True)[0]  # without return_index, unique imports numpy.ma
         if len(sites) > 1:
             gaps = _doubled_kth_d2(build_index(Dataset(sites)), 2, np.arange(len(sites)))
             gaps = gaps[gaps > 0]  # a d2 may underflow to 0

@@ -271,7 +271,9 @@ class Labeling:
         return int(self.labels.max()) + 1 if self.labels.size and self.labels.max() >= 0 else 0
 
     def point_class(self, i: int) -> PointClass:
-        return PointClass(int(self.classes[check_int(i, "point index", 0, len(self), DataError)]))
+        """Point i's class; DataError for a bad index or a stored code that is no PointClass."""
+        with _data_errors("point class"):
+            return PointClass(int(self.classes[check_int(i, "point index", 0, len(self), DataError)]))
 
 
 def _cluster_sizes(labels: np.ndarray) -> np.ndarray:

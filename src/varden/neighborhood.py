@@ -32,7 +32,6 @@ from .model import Dataset, DataError, _data_errors, check_finite, check_float, 
 
 _TILE = 32  # the fewest query rows a tile holds
 _ENTRIES = 1 << 15  # rows times widest row's candidates that a tile of more than _TILE rows holds at most
-_SHARE = 2  # a tile's rows share the span of their runs while it is at most this many times their own candidates
 _CHUNK = 2048  # rows, or blocks, whose candidate runs are looked up together
 _CLIP = 2.0**61  # cell indices are clipped to +-_CLIP
 
@@ -171,13 +170,11 @@ class NeighborIndex:
         (class docstring), which is sorted afresh per call. i ascends, so
         each row's hits are one run. A row's candidates are the runs of its
         own padded box, each measured once against that row alone, with no
-        padding; rows that lie close together share the span of their runs
-        while it costs at most twice their own candidates (_Grid._tile). A
-        tile holds at least 32 rows, and more while its rows times its
-        widest row's candidates stay within _ENTRIES, which bounds a caller
-        that lays the hits out row by row; but it never reaches past its
-        chunk of 2048 rows, whose runs are looked up together, so a chunk's
-        last tile may hold fewer.
+        padding (_Grid._tile). A tile holds at least 32 rows, and more while
+        its rows times its widest row's candidates stay within _ENTRIES,
+        which bounds a caller that lays the hits out row by row; but it
+        never reaches past its chunk of 2048 rows, whose runs are looked up
+        together, so a chunk's last tile may hold fewer.
 
         rows, if given, lists the point ids that are rows, each once however
         often it is listed; the other points are candidates only.
@@ -326,42 +323,26 @@ class _Grid:
                 b = a + max(_TILE, int(np.count_nonzero(width * np.arange(1, width.size + 1) <= _ENTRIES)))
                 b = min(b, chunk.size)
                 q = slice(first[a], first[b])
-                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a, forward)
+                yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a)
                 a = b
 
-    def _tile(self, pos, starts, stops, row, forward):
+    def _tile(self, pos, starts, stops, row):
         """The hits of the rows at grid positions pos, row[q] owning the run starts[q]:stops[q].
 
         Each row is measured flat against its own runs: the runs,
         concatenated, are the candidates, and the row's coordinates,
-        repeated, the other side of each d2. Where the rows lie so close
-        together that the span from the first run's start to the last one's
-        stop holds at most _SHARE times their own candidates per row, they
-        share that span instead, as a block does: a slice, with no gather
-        per entry. A forward row then drops the hits that lie before it,
-        which the rows before it have measured.
+        repeated, the other side of each d2.
         """
-        if not starts.size:  # forward rows with no point after them
-            return self.order[pos], pos[:0], pos[:0], np.empty(0)
-        size, span = stops - starts, slice(starts.min(), stops.max())
-        if pos.size * (span.stop - span.start) <= _SHARE * size.sum():
-            return self._shared(pos, span, forward)
-        cand, i = _ranges(starts, stops), np.repeat(row, size)
+        cand, i = _ranges(starts, stops), np.repeat(row, stops - starts)
         d2 = _axis_d2((x[cand] for x in self.axes), (x[pos][i] for x in self.axes))
         hit = np.flatnonzero(d2 <= self.e2)
         return self.order[pos], i[hit], self.order[cand[hit]], d2[hit]
 
-    def _shared(self, pos, cand, forward=False):
-        """The hits of the rows at grid positions pos against the candidates cand (positions or a slice) that they share.
-
-        forward keeps, of a slice, only the candidates after each row.
-        """
+    def _shared(self, pos, cand):
+        """The hits of a block's rows at grid positions pos against the candidate positions cand that they share."""
         d2 = _axis_d2((x[cand] for x in self.axes), (x[pos, None] for x in self.axes))
         k = np.flatnonzero(d2 <= self.e2)
         i, c = np.divmod(k, d2.shape[1])
-        if forward:
-            after = cand.start + c > pos[i]
-            k, i, c = k[after], i[after], c[after]
         return self.order[pos], i, self.order[cand][c], d2.ravel()[k]
 
     def blocks(self, root, roots):

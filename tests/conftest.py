@@ -16,7 +16,9 @@ def work(monkeypatch):
     "grids": neighborhood._Grid builds, one per tile sweep;
     "brackets": dbscan.EpsBracket builds; "labelings": EpsBracket.labeling calls;
     "narrows": EpsBracket._narrow calls, one at the end of each sweep;
-    "ties": dbscan._tie calls, each a pass over a bracket's waiting pairs.
+    "ties": dbscan._tie calls, each a pass over a bracket's waiting pairs;
+    "tiles": tiles that neighborhood.NeighborIndex.tiles yields, of which
+    "block_tiles" come from neighborhood._Grid.blocks and the rest are row tiles.
     """
     counts = Counter()
 
@@ -28,10 +30,15 @@ def work(monkeypatch):
 
         return wrapper
 
+    def each(key, gen):  # counts what gen yields, holding none of it
+        return lambda *args, **kwargs: map(lambda tile: counts.update([key]) or tile, gen(*args, **kwargs))
+
     monkeypatch.setattr(neighborhood, "_axis_d2", counted("entries", neighborhood._axis_d2, np.size))
     monkeypatch.setattr(neighborhood._Grid, "__init__", counted("grids", neighborhood._Grid.__init__))
     monkeypatch.setattr(dbscan.EpsBracket, "__init__", counted("brackets", dbscan.EpsBracket.__init__))
     monkeypatch.setattr(dbscan.EpsBracket, "labeling", counted("labelings", dbscan.EpsBracket.labeling))
     monkeypatch.setattr(dbscan.EpsBracket, "_narrow", counted("narrows", dbscan.EpsBracket._narrow))
     monkeypatch.setattr(dbscan, "_tie", counted("ties", dbscan._tie))
+    monkeypatch.setattr(neighborhood.NeighborIndex, "tiles", each("tiles", neighborhood.NeighborIndex.tiles))
+    monkeypatch.setattr(neighborhood._Grid, "blocks", each("block_tiles", neighborhood._Grid.blocks))
     return counts

@@ -3,14 +3,19 @@ removal, stop reasons, and full traces on a hand-built two-density fixture;
 and the eps tuner: pinned results on the built-in scenarios, degenerate and
 split blobs."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import varden
 from varden import adbscan
 from varden.adbscan import accept_cluster, remove_cluster, run_adbscan, step_params, tune_eps_densest
 from varden.dbscan import EpsBracket, run_dbscan
@@ -507,6 +512,25 @@ class TestDoubledKthD2:
         eps = tune_eps_densest(LabeledDataset(Dataset(coords), np.zeros(3000)), min_pts=10)
         assert eps * eps >= 50.0 and eps <= math.sqrt(50.0) * (1 + 1e-6)
         assert len(built) <= 8
+
+    def test_stack_start_loads_no_masked_arrays(self):
+        # np.unique(..., axis=0) alone imports numpy.ma, which doubled the
+        # first tuner call on two 50-point stacks; a fresh interpreter shows it
+        script = """
+import sys
+import numpy as np
+from varden.adbscan import tune_eps_densest
+from varden.model import Dataset, LabeledDataset
+coords = np.repeat([[0.0, 0.0], [5.0, 5.0]], 50, axis=0)
+print(tune_eps_densest(LabeledDataset(Dataset(coords), np.zeros(100)), min_pts=10).hex(), "numpy.ma" in sys.modules)
+"""
+        src = str(Path(varden.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        eps, masked = proc.stdout.split()
+        assert masked == "False"
+        assert float.fromhex(eps) * float.fromhex(eps) >= 50.0
 
 
 @st.composite

@@ -826,6 +826,17 @@ def test_rows_measure_each_pair_once(work):
     assert work["entries"] <= 0.55 * 396_568
 
 
+def test_dense_rows_measure_each_row_against_its_own_runs(work):
+    # 2000 uniform points, about 785 per ball: no cell is certified, so every
+    # tile is a row tile. Measured flat against their own runs, the rows take
+    # 1.50M d2 entries; 1.83M when close rows shared the span of their runs
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(2000, 2))
+    lab = run_dbscan(Dataset(coords), DbscanParams(0.5, 400))
+    assert lab.n_clusters >= 1
+    assert work["tiles"] >= 1 and work["block_tiles"] == 0
+    assert work["entries"] <= 1_600_000
+
+
 def test_sparse_points_stay_in_bounded_memory():
     # the input above: 3.52 MiB traced while the bracket also kept each
     # tie's d2, 8 bytes per point; 3.37 MiB with the tie's earlier end alone

@@ -195,6 +195,13 @@ class TestLabeling:
         with pytest.raises(DataError, match="point index"):
             Labeling([0, NOISE], [2, 0]).point_class(i)
 
+    def test_stored_code_that_is_no_point_class_is_data_error(self):
+        # construction keeps any int8 code (render_svg draws it as non-core)
+        lab = Labeling([0, 0], [7, 2])
+        with pytest.raises(DataError, match="7 is not a valid PointClass"):
+            lab.point_class(0)
+        assert lab.point_class(1) is PointClass.CORE
+
     def test_numpy_integer_point_index_accepted(self):
         assert Labeling([0, NOISE], [2, 0]).point_class(np.int64(0)) is PointClass.CORE
 
