@@ -327,12 +327,10 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
             gaps = gaps[gaps > 0]  # a d2 may underflow to 0
             hi = math.sqrt(gaps.min()) if gaps.size else 0.0
     lo, hi = 0.0, min(max(hi, 1e-9), _SQUARE_OVERFLOWS)
-    top = 2.0 * hi
-    bracket = EpsBracket(index, min_pts, 0.5 * hi, top)
+    bracket = EpsBracket(index, min_pts, 0.5 * hi, 2.0 * hi)
     while not _coheres(bracket, target, hi):
         lo, hi = hi, 2.0 * hi
-        if hi > top:
-            top = hi
+        if hi > bracket.hi:
             bracket = EpsBracket(index, min_pts, lo, hi)
         bracket._narrow(lo)
     while hi - lo > max(1e-9, _REL_TOL * hi):
@@ -348,7 +346,7 @@ def _tuned_scan(labeled: LabeledDataset, min_pts: int) -> tuple[float, Labeling]
 
 
 def _coheres(bracket: EpsBracket, target: np.ndarray, eps: float) -> bool:
-    """tune_eps_densest's predicate on the target rows at eps in [bracket.lo, hi].
+    """tune_eps_densest's predicate on the target rows at eps in [bracket.lo, bracket.hi].
 
     Read off the bracket's roots view (EpsBracket._roots), with no Labeling:
     the roots of the clustered target rows stand for their clusters.

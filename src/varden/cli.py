@@ -276,10 +276,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except VardenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VardenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

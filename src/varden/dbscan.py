@@ -69,15 +69,20 @@ _PAIR_BUDGET = 1 << 15  # kept, or waiting, pairs an EpsBracket takes in beyond 
 
 
 def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Roots of the nodes x; each x is pointed straight at its root."""
+    """Roots of the nodes x; each x is pointed straight at its root.
+
+    Each pass points every x at its parent's parent, until a pass changes
+    nothing, so a forest that is already flat is not rewritten. When x
+    holds a whole chain, as after _union hooks roots under roots, each
+    pass halves it: the points of a line chain up one hook per point, and
+    a walk of one link per pass would take a pass per point.
+    """
     r = parent[x]
     while True:
         up = parent[r]
         if np.array_equal(up, r):
-            break
-        r = up
-    parent[x] = r
-    return r
+            return r
+        parent[x] = r = up
 
 
 def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
@@ -85,9 +90,8 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 
     parent[x] <= x always holds, so each component's root is its smallest
     index. Each round hooks the larger root of every split edge under the
-    smaller one, then flattens the chains this can form among those roots;
-    unflattened, the points of a line would chain up one hook per point and
-    every later round would walk that chain one link at a time.
+    smaller one, then finds the ends' new roots (_find), which flattens the
+    chains the hooks form among them.
     """
     while True:
         split = u != v
@@ -95,13 +99,7 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             return
         u, v = u[split], v[split]
         np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-        ends = np.concatenate((u, v))
-        top = parent[ends]
-        while True:
-            up = parent[top]
-            if np.array_equal(up, top):
-                break
-            parent[ends] = top = up
+        top = _find(parent, np.concatenate((u, v)))
         u, v = top[: u.size], top[u.size :]
 
 
@@ -186,7 +184,7 @@ class EpsBracket:
     bracket at lo = hi = eps.
     """
 
-    __slots__ = ("lo", "core_d2", "_parent", "_pairs")
+    __slots__ = ("lo", "hi", "core_d2", "_parent", "_pairs")
 
     def __init__(self, index: NeighborIndex, min_pts: int, lo: float, hi: float) -> None:
         lo2, hi2 = lo * lo, hi * hi
@@ -220,7 +218,7 @@ class EpsBracket:
                 near[rows] = k
                 ready = near[b] >= k  # counts only grow: min_pts hits within lo make b core at lo before its tile
                 if not ready.all():
-                    waiting = tuple(np.concatenate(x) for x in zip(waiting, (a[~ready], b[~ready], d2[~ready])))
+                    waiting = a[~ready], b[~ready], d2[~ready]  # empty before: this tile's pairs took in the waiting ones
                     a, b, d2 = a[ready], b[ready], d2[ready]
             kept.append(_decide(parent, a, b, d2, core_d2, lo2, hi2))
             if waiting[0].size > _PAIR_BUDGET + 2 * tied:
@@ -230,7 +228,7 @@ class EpsBracket:
             if held > _PAIR_BUDGET + 2 * cut:
                 kept = [_closest_pairs(parent, *map(np.concatenate, zip(*kept)))]
                 held = cut = kept[0][0].size
-        self.lo, self.core_d2, self._parent = lo, core_d2, parent
+        self.lo, self.hi, self.core_d2, self._parent = lo, hi, core_d2, parent
         self._pairs = tuple(map(np.concatenate, zip(*kept)))
         self._narrow(lo)  # joins nothing: _decide folded every pair within lo; drops the pairs inside one component
 

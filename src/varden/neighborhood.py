@@ -174,7 +174,9 @@ class NeighborIndex:
         its rows times its widest row's candidates stay within _ENTRIES,
         which bounds a caller that lays the hits out row by row; but it
         never reaches past its chunk of 2048 rows, whose runs are looked up
-        together, so a chunk's last tile may hold fewer.
+        together, so a chunk's last tile may hold fewer. A row with more
+        than _ENTRIES candidates, such as one beside a large stack, is a
+        tile of its own, and the tile before it stops short of it.
 
         rows, if given, lists the point ids that are rows, each once however
         often it is listed; the other points are candidates only.
@@ -305,7 +307,9 @@ class _Grid:
         which lie after every row. _CHUNK rows at a time have their runs
         looked up together. A tile takes _TILE rows, and then more while its
         rows times its widest row's candidates stay within _ENTRIES, and
-        stops at the chunk's end.
+        stops at the chunk's end. A wide row, one whose candidates alone
+        exceed _ENTRIES, shares no tile: it is a tile of its own, and the
+        _TILE floor of the tile before it stops just before it.
         """
         for t in range(0, rest.size, _CHUNK):
             chunk = rest[t : t + _CHUNK]
@@ -317,11 +321,13 @@ class _Grid:
                 box, starts, stops = box[some], starts[some], stops[some]
             first = np.searchsorted(box, np.arange(chunk.size + 1))  # row i's runs are first[i]:first[i + 1]
             length = np.diff(np.append(0, np.cumsum(stops - starts))[first])  # candidates; a forward row may have none
+            wide = np.append(np.flatnonzero(length > _ENTRIES), chunk.size)  # rows that fill a tile alone
             a = 0
             while a < chunk.size:
                 width = np.maximum.accumulate(length[a : a + max(_TILE, _ENTRIES // max(length[a], 1))])
                 b = a + max(_TILE, int(np.count_nonzero(width * np.arange(1, width.size + 1) <= _ENTRIES)))
-                b = min(b, chunk.size)
+                w = wide[np.searchsorted(wide, a)]  # the first wide row from a on, or the chunk's end
+                b = a + 1 if w == a else min(b, w)
                 q = slice(first[a], first[b])
                 yield self._tile(chunk[a:b], starts[q], stops[q], box[q] - a)
                 a = b

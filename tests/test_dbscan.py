@@ -552,6 +552,17 @@ def test_matches_reference_across_union_flushes(min_pts):
     assert lab.classes.tolist() == classes
 
 
+def test_union_of_a_long_chain_halves_it():
+    # each edge hooks one root under its neighbour's, a chain of 50,000
+    # links: the root walk halves it each pass (about 6 ms), where a walk of
+    # one link per pass took 6-9 s
+    parent = np.arange(50_000)
+    start = time.perf_counter()
+    dbscan._union(parent, np.arange(49_999), np.arange(1, 50_000))
+    assert time.perf_counter() - start < 0.5
+    assert (parent == 0).all()
+
+
 @pytest.mark.parametrize("lo, hi", [(0.7, 0.7), (0.7, 1.0)])
 def test_each_tile_is_joined_before_the_next(monkeypatch, lo, hi):
     # when the sweep asks for a tile, every pair it has been given with both
@@ -725,7 +736,7 @@ def _traced_peak(ds, params):
     # MiB. 4000 uniform points, min_pts 800: the pairs from one grid column
     # to the next wait for their later ends (60 MiB traced when all are
     # held). 20000 coincident points, a certified cell, with 40 points 0.3 to
-    # 0.5 from them: 32 rows meet the whole stack in one tile
+    # 0.5 from them: each halo row meets the whole stack
     [("dense", 8.0), ("halo", 49.9)],
 )
 def test_waiting_pairs_stay_in_bounded_memory(case, bound):
@@ -739,6 +750,25 @@ def test_waiting_pairs_stay_in_bounded_memory(case, bound):
     lab, peak = _traced_peak(Dataset(coords), params)
     assert lab.n_clusters == 1
     assert peak < bound * 2**20
+
+
+@pytest.mark.parametrize("ahead", [0, 5])
+def test_a_row_that_fills_a_tile_alone_is_its_own_tile(ahead):
+    # 40,000 coincident points, a certified cell, with 40 points 0.3 to 0.5
+    # from them: each halo row has the whole stack as candidates, more than a
+    # tile holds, so it is a tile of its own (about 7 MiB traced; about 98
+    # MiB when 32 halo rows shared a tile). The 5 points far to the left sort
+    # just ahead of the halo in its grid column, so a tile that starts at one
+    # of them must still stop before the first halo row (about 36 MiB when
+    # only a tile's first row was checked)
+    rng = np.random.default_rng(0)
+    angle, radius = rng.uniform(0.0, 2 * math.pi, 40), rng.uniform(0.3, 0.5, 40)
+    halo = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    left = np.stack([np.linspace(-6.0, -1.0, 5), np.full(5, 0.2)], axis=1)[:ahead]
+    coords = np.concatenate([np.zeros((40_000, 2)), halo, left])
+    lab, peak = _traced_peak(Dataset(coords), DbscanParams(0.5, 10))
+    assert lab.n_clusters == 1
+    assert peak < 16 * 2**20
 
 
 def test_coincident_points_stay_in_bounded_memory():
